@@ -33,7 +33,7 @@ use hetero::exec::{self, ExecConfig, ExecStats, ParallelCert};
 use hetero::hosts;
 use idiomatch_bench::report::{nested_object, Json, Report};
 use idioms::ParallelSafety;
-use interp::{Machine, Memory, Value};
+use interp::{compile_module, CompiledModule, Memory, Value, Vm};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -162,8 +162,8 @@ struct SuiteRun {
     ms: f64,
 }
 
-fn run_serial(module: &ssair::Module, b: &benchsuite::Benchmark, seed: u64) -> SuiteRun {
-    let mut vm = Machine::new(module);
+fn run_serial(code: &CompiledModule<'_>, b: &benchsuite::Benchmark, seed: u64) -> SuiteRun {
+    let mut vm = Vm::new(code);
     hosts::register_all(&mut vm);
     let args = (b.setup)(&mut vm.mem, seed);
     let t = Instant::now();
@@ -179,17 +179,17 @@ fn run_serial(module: &ssair::Module, b: &benchsuite::Benchmark, seed: u64) -> S
 }
 
 fn run_parallel(
-    module: &ssair::Module,
+    code: &CompiledModule<'_>,
     certs: &std::collections::BTreeMap<String, ParallelSafety>,
     b: &benchsuite::Benchmark,
     seed: u64,
     workers: usize,
     stats: &Arc<ExecStats>,
 ) -> SuiteRun {
-    let mut vm = Machine::new(module);
+    let mut vm = Vm::new(code);
     exec::register_parallel(
         &mut vm,
-        module,
+        code.module(),
         certs,
         &ExecConfig::with_workers(workers),
         stats,
@@ -275,12 +275,13 @@ fn main() {
             }
         }
 
+        let code = compile_module(&xf.module);
         let (mut ser_ms, mut par_ms, mut equal) = (0.0f64, 0.0f64, true);
         for &seed in &SEEDS {
-            let oracle = run_serial(&xf.module, &b, seed);
+            let oracle = run_serial(&code, &b, seed);
             ser_ms += oracle.ms;
             for &w in &WORKER_GRID {
-                let got = run_parallel(&xf.module, &certs, &b, seed, w, &stats);
+                let got = run_parallel(&code, &certs, &b, seed, w, &stats);
                 if w == WORKER_GRID[WORKER_GRID.len() - 1] {
                     par_ms += got.ms;
                 }

@@ -1,8 +1,9 @@
 //! The offload determinism suite: every transformed benchmark must
 //! produce bitwise-identical results under the thread-pool executors
-//! ([`hetero::exec`]) and the serial hosts, for every validation seed
-//! and worker count — and a `serial`-certified region must never reach
-//! a parallel executor.
+//! ([`hetero::exec`]) on the production bytecode `Vm` and under the
+//! serial hosts on the tree-walking `Machine` oracle, for every
+//! validation seed and worker count — and a `serial`-certified region
+//! must never reach a parallel executor.
 //!
 //! The type system carries half the guarantee: [`hetero::ParallelCert`]
 //! has no `Serial` variant, so a parallel executor for a serial region
@@ -13,7 +14,7 @@
 
 use hetero::exec::{register_parallel, ExecConfig, ExecStats, ParallelCert};
 use idioms::ParallelSafety;
-use interp::{Machine, Value};
+use interp::{compile_module, Machine, Value, Vm};
 use std::sync::Arc;
 
 const SEEDS: [u64; 2] = [
@@ -46,9 +47,10 @@ fn parallel_execution_is_bitwise_equal_to_serial_for_every_benchmark() {
             .filter(|&&s| s == ParallelSafety::Serial)
             .count();
 
+        let code = compile_module(&xf.module);
         for &seed in &SEEDS {
             // Serial oracle: the sequential library hosts, everything
-            // else interpreted in place.
+            // else tree-walked in place.
             let mut oracle = Machine::new(&xf.module);
             hetero::hosts::register_all(&mut oracle);
             let args = (b.setup)(&mut oracle.mem, seed);
@@ -57,7 +59,7 @@ fn parallel_execution_is_bitwise_equal_to_serial_for_every_benchmark() {
                 .unwrap_or_else(|e| panic!("{}: serial run failed: {e}", b.name));
 
             for &w in &WORKERS {
-                let mut vm = Machine::new(&xf.module);
+                let mut vm = Vm::new(&code);
                 register_parallel(
                     &mut vm,
                     &xf.module,

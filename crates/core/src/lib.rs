@@ -18,40 +18,10 @@
 
 use hetero::{Platform, Workload};
 use idioms::{IdiomInstance, IdiomKind};
-use interp::{compile_module, Allocation, CompiledModule, Machine, Memory, Value, Vm};
+use interp::{compile_module, Allocation, CompiledModule, Memory, Value, Vm};
 use ssair::{Module, Type};
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Which interpreter executes programs for profiling and validation.
-///
-/// The bytecode [`Vm`] is the production tier: each module is lowered
-/// once ([`compile_module`]) and the flat instruction stream is reused
-/// across every seed and oracle run. The tree-walking [`Machine`] is the
-/// debug oracle — bit-for-bit identical results, steps and errors —
-/// retained behind `IDIOMATCH_EXEC_BACKEND=walker`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecBackend {
-    /// Compile to register bytecode once, execute on [`Vm`] (default).
-    Bytecode,
-    /// Tree-walk the SSA directly on [`Machine`] (debug oracle).
-    Walker,
-}
-
-/// The process-wide backend choice, read once from the environment
-/// variable `IDIOMATCH_EXEC_BACKEND` (`walker` selects the tree-walking
-/// oracle; anything else, including unset, selects the bytecode VM).
-#[must_use]
-pub fn exec_backend() -> ExecBackend {
-    static BACKEND: OnceLock<ExecBackend> = OnceLock::new();
-    *BACKEND.get_or_init(
-        || match std::env::var("IDIOMATCH_EXEC_BACKEND").as_deref() {
-            Ok("walker") => ExecBackend::Walker,
-            _ => ExecBackend::Bytecode,
-        },
-    )
-}
 
 /// A benchmark input generator: allocates the program's arrays for one
 /// input seed and returns the entry-point arguments (the signature of
@@ -125,25 +95,14 @@ pub fn analyze(b: &benchsuite::Benchmark) -> Analysis {
         *by_class.entry(inst.kind.class_label()).or_default() += 1;
     }
 
-    // Profile one full run of the canonical workload. The bytecode VM
-    // keeps dense per-function counters and maps them back to `ValueId`s,
-    // so the resulting `Profile` is identical to the walker's.
-    let profile = match exec_backend() {
-        ExecBackend::Bytecode => {
-            let code = compile_module(&module);
-            let mut vm = Vm::new(&code);
-            vm.set_profiling(true);
-            let args = (b.setup)(&mut vm.mem, benchsuite::CANONICAL_SEED);
-            vm.run(b.entry, &args).expect("bundled benchmark executes");
-            vm.profile()
-        }
-        ExecBackend::Walker => {
-            let mut vm = Machine::new(&module);
-            let args = (b.setup)(&mut vm.mem, benchsuite::CANONICAL_SEED);
-            vm.run(b.entry, &args).expect("bundled benchmark executes");
-            vm.profile
-        }
-    };
+    // Profile one full run of the canonical workload. The VM keeps dense
+    // per-function counters and maps them back to `ValueId`s.
+    let code = compile_module(&module);
+    let mut vm = Vm::new(&code);
+    vm.set_profiling(true);
+    let args = (b.setup)(&mut vm.mem, benchsuite::CANONICAL_SEED);
+    vm.run(b.entry, &args).expect("bundled benchmark executes");
+    let profile = vm.profile();
 
     let mut total_cost = 0.0;
     for f in &module.functions {
@@ -492,28 +451,12 @@ fn load_elem(mem: &Memory, al: &Allocation, i: usize) -> Result<Value, String> {
     }
 }
 
-/// One full run: fresh machine, registered vendor hosts, seeded setup,
-/// entry execution. Returns the entry's return value, the final memory
-/// and how many allocations the setup made (the program's declared
-/// arrays — everything allocated later is runtime-internal).
+/// One full run over an already-compiled module: fresh [`Vm`],
+/// registered vendor hosts, seeded setup, entry execution. Returns the
+/// entry's return value, the final memory and how many allocations the
+/// setup made (the program's declared arrays — everything allocated later
+/// is runtime-internal).
 fn run_once(
-    m: &Module,
-    entry: &str,
-    setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
-    seed: u64,
-) -> Result<(Value, Memory, usize), String> {
-    let mut vm = Machine::new(m);
-    hetero::hosts::register_all(&mut vm);
-    let args = setup(&mut vm.mem, seed);
-    let setup_allocs = vm.mem.allocations().len();
-    let ret = vm.run(entry, &args).map_err(|e| e.to_string())?;
-    Ok((ret, std::mem::take(&mut vm.mem), setup_allocs))
-}
-
-/// [`run_once`] on the bytecode tier: fresh [`Vm`] over an
-/// already-compiled module, so callers amortize the lowering across
-/// every seed and every oracle re-run.
-fn run_once_vm(
     code: &CompiledModule<'_>,
     entry: &str,
     setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
@@ -544,28 +487,18 @@ pub fn validate_transform(
     setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ValidationSummary, ValidationError> {
-    match exec_backend() {
-        ExecBackend::Bytecode => {
-            // Compile each module exactly once; every seed reuses the
-            // flat instruction streams.
-            let code_o = compile_module(original);
-            let code_t = compile_module(transformed);
-            validate_compiled(&code_o, &code_t, entry, &setup, seeds)
-        }
-        ExecBackend::Walker => validate_runs(seeds, |which, seed| {
-            let m = if which == "original" {
-                original
-            } else {
-                transformed
-            };
-            run_once(m, entry, &setup, seed)
-        }),
-    }
+    // Compile each module exactly once; every seed reuses the flat
+    // instruction streams.
+    let code_o = compile_module(original);
+    let code_t = compile_module(transformed);
+    validate_compiled(&code_o, &code_t, entry, &setup, seeds)
 }
 
-/// [`validate_transform`] over two already-compiled modules — the shape
-/// the reversal oracle wants, where one original is compared against many
-/// rewritten variants without recompiling it each time.
+/// The seed loop of [`validate_transform`] over two compiled modules: runs
+/// both under each seed and compares the results bitwise (return value,
+/// memory size, every element of every setup-allocated array). The
+/// reversal oracle calls it directly, comparing one compiled original
+/// against many rewritten variants.
 fn validate_compiled(
     code_o: &CompiledModule<'_>,
     code_t: &CompiledModule<'_>,
@@ -573,33 +506,20 @@ fn validate_compiled(
     setup: &impl Fn(&mut Memory, u64) -> Vec<Value>,
     seeds: &[u64],
 ) -> Result<ValidationSummary, ValidationError> {
-    validate_runs(seeds, |which, seed| {
-        let code = if which == "original" { code_o } else { code_t };
-        run_once_vm(code, entry, setup, seed)
-    })
-}
-
-/// The backend-agnostic seed loop of [`validate_transform`]: `run` is
-/// called with `"original"`/`"transformed"` and the seed, and its results
-/// are compared bitwise (return value, memory size, every element of
-/// every setup-allocated array).
-fn validate_runs(
-    seeds: &[u64],
-    mut run: impl FnMut(&'static str, u64) -> Result<(Value, Memory, usize), String>,
-) -> Result<ValidationSummary, ValidationError> {
     if seeds.is_empty() {
         return Err(ValidationError::NoSeeds);
     }
     let mut arrays = 0usize;
     let mut elements = 0usize;
     for &seed in seeds {
-        let (ret_o, mem_o, n_setup) = run("original", seed).map_err(|e| ValidationError::Exec {
-            which: "original",
-            seed,
-            message: e,
-        })?;
+        let (ret_o, mem_o, n_setup) =
+            run_once(code_o, entry, setup, seed).map_err(|e| ValidationError::Exec {
+                which: "original",
+                seed,
+                message: e,
+            })?;
         let (ret_t, mem_t, n_setup_t) =
-            run("transformed", seed).map_err(|e| ValidationError::Exec {
+            run_once(code_t, entry, setup, seed).map_err(|e| ValidationError::Exec {
                 which: "transformed",
                 seed,
                 message: e,
@@ -684,13 +604,10 @@ pub fn check_reversal_oracle(
 ) -> Result<ReversalOracle, ValidationError> {
     let facts = analysis::ParamAliasFacts::of_module(module);
     let mut oracle = ReversalOracle::default();
-    // On the bytecode tier the forward module compiles once here and is
-    // reused against every reversed variant (each of which compiles once
-    // and runs under every seed).
-    let code_o = match exec_backend() {
-        ExecBackend::Bytecode => Some(compile_module(module)),
-        ExecBackend::Walker => None,
-    };
+    // The forward module compiles once here and is reused against every
+    // reversed variant (each of which compiles once and runs under every
+    // seed).
+    let code_o = compile_module(module);
     for inst in instances {
         let Some(iv) = inst.value(inst.kind.outer_iterator_var()) else {
             continue;
@@ -706,15 +623,7 @@ pub fn check_reversal_oracle(
         }
         match xform::reverse::reversed_module(module, &inst.function, iv) {
             Ok(reversed) => {
-                match &code_o {
-                    Some(code_o) => {
-                        let code_r = compile_module(&reversed);
-                        validate_compiled(code_o, &code_r, entry, &setup, seeds)?;
-                    }
-                    None => {
-                        validate_transform(module, &reversed, entry, &setup, seeds)?;
-                    }
-                }
+                validate_compiled(&code_o, &compile_module(&reversed), entry, &setup, seeds)?;
                 oracle.checked += 1;
             }
             Err(reason) => oracle.skipped.push((inst.function.clone(), reason)),

@@ -31,7 +31,7 @@ pub mod exec;
 pub mod hosts;
 pub mod model;
 
-pub use exec::{ExecConfig, ExecStats, KernelBatch, ParallelCert};
+pub use exec::{ExecConfig, ExecStats, ParallelCert};
 pub use model::{
     best_configuration, best_configuration_certified, best_configuration_profiled, kernel_time_ms,
     kernel_time_ms_certified, platform_admits, sequential_time_ms, supported, Api, Platform,

@@ -18,17 +18,17 @@
 //!   lookup becomes a slot load, not a `HashMap<String, _>` probe) and
 //!   statically resolved to an intrinsic or a module function index.
 //!
-//! **Fidelity over coverage.** The tree-walking [`crate::Machine`] is the
-//! semantic oracle, quirks included, and the VM must match it bit-for-bit
-//! (same results, same `ExecError` messages, same step accounting, same
-//! panics on malformed IR). Any function whose shape the bytecode cannot
-//! reproduce *exactly* — entry-block phis, mid-block phis or terminators
-//! (which the walker silently skips or lets "last branch win"), phis not
-//! covering every predecessor edge, void loads/stores, operands that are
-//! not provably defined on every path (the walker reports those at
-//! runtime) — is left uncompiled (`None`) and executed by the VM's
-//! embedded fallback walker instead. Compilation never fails; it only
-//! falls back.
+//! **Total over verified IR.** [`compile_module`] runs
+//! [`ssair::verify::verify_function`] on every function and lowers each
+//! one that passes, unconditionally. The verifier's rules are exactly what
+//! the lowering relies on: phis form a block prefix and cover every
+//! predecessor edge, each block ends in its only terminator, the entry
+//! block has no phis and no predecessors, every use is dominated by its
+//! definition, operand/target counts match the opcode, and no load or
+//! store moves `void`. A function that fails verification compiles to an
+//! error entry instead; calling it is an `ExecError` carrying the first
+//! verifier message. The tree-walking [`crate::Machine`] is the reference
+//! oracle the differential tests hold this tier to, bit-for-bit.
 
 use crate::machine::Value;
 use ssair::{BlockId, FCmpPred, Function, ICmpPred, Module, Opcode, Type, ValueId, ValueKind};
@@ -101,16 +101,16 @@ pub(crate) enum MemKind {
 }
 
 impl MemKind {
-    fn of(ty: &Type) -> Option<MemKind> {
-        Some(match ty {
+    fn of(ty: &Type) -> MemKind {
+        match ty {
             Type::I1 => MemKind::I8,
             Type::I32 => MemKind::I32,
             Type::I64 => MemKind::I64,
             Type::F32 => MemKind::F32,
             Type::F64 => MemKind::F64,
             Type::Ptr(_) => MemKind::Ptr,
-            Type::Void => return None,
-        })
+            Type::Void => unreachable!("the verifier rejects void loads and stores"),
+        }
     }
 }
 
@@ -296,7 +296,8 @@ pub(crate) struct CompiledFunction {
     /// Parameter registers, in order.
     pub(crate) params: Box<[u32]>,
     /// Register-file template: constants prefilled, everything else
-    /// `I(0)` (never read before a write, by the must-defined check).
+    /// `I(0)` (never read before a write: every use is dominated by its
+    /// definition).
     pub(crate) init_regs: Vec<Value>,
     /// The flat instruction stream. Entry is pc 0.
     pub(crate) code: Vec<Op>,
@@ -313,9 +314,8 @@ pub(crate) struct CompiledFunction {
 pub struct CompiledModule<'m> {
     pub(crate) module: &'m Module,
     /// Per function (same order as [`Module::functions`]): the lowered
-    /// code, or `None` when the function's shape requires the fallback
-    /// walker for bit-exact semantics.
-    pub(crate) funcs: Vec<Option<CompiledFunction>>,
+    /// code, or the error every call to an unverifiable function returns.
+    pub(crate) funcs: Vec<Result<CompiledFunction, String>>,
     /// First function index per name (the walker's `Module::function`
     /// takes the first match too).
     pub(crate) func_index: HashMap<String, u32>,
@@ -331,18 +331,10 @@ impl<'m> CompiledModule<'m> {
     pub fn module(&self) -> &'m Module {
         self.module
     }
-
-    /// How many functions compiled to bytecode (the rest run on the
-    /// fallback walker).
-    #[must_use]
-    pub fn compiled_count(&self) -> usize {
-        self.funcs.iter().filter(|f| f.is_some()).count()
-    }
 }
 
-/// Lowers every function of `module`. Never fails: functions whose shape
-/// the bytecode cannot reproduce bit-for-bit are marked for the fallback
-/// walker instead.
+/// Verifies and lowers every function of `module`. Never fails: a function
+/// that fails verification becomes an error entry, reported when called.
 #[must_use]
 pub fn compile_module(module: &Module) -> CompiledModule<'_> {
     let mut func_index = HashMap::new();
@@ -384,111 +376,44 @@ impl Interner {
     }
 }
 
-/// The phi prefix and body (incl. terminator) of one block, with every
-/// structural eligibility condition already verified.
-struct BlockShape {
-    phis: Vec<ValueId>,
-    body: Vec<ValueId>,
-}
-
 fn compile_function(
     f: &Function,
     func_index: &HashMap<String, u32>,
     interner: &mut Interner,
-) -> Option<CompiledFunction> {
-    let nb = f.num_blocks();
-    if nb == 0 {
-        return None;
+) -> Result<CompiledFunction, String> {
+    if let Err(errs) = ssair::verify::verify_function(f) {
+        return Err(format!(
+            "@{} failed IR verification: {}",
+            f.name, errs[0].message
+        ));
     }
-    // Structural pass: phis form a prefix, exactly one terminator and it
-    // is last, every listed id is an instruction, no entry-block phis.
-    let mut shapes: Vec<BlockShape> = Vec::with_capacity(nb);
-    for b in f.block_ids() {
-        let mut phis = Vec::new();
-        let mut body = Vec::new();
-        for &v in &f.block(b).instrs {
-            let i = f.instr(v)?; // non-instruction id: the walker skips it
-            match i.opcode {
-                Opcode::Phi if body.is_empty() => phis.push(v),
-                Opcode::Phi => return None, // mid-block phi: never executes
-                _ => body.push(v),
-            }
-        }
-        let (&last, rest) = body.split_last()?; // empty body falls through
-        if !f.opcode(last)?.is_terminator() {
-            return None; // fallthrough is a runtime error — walker's job
-        }
-        if rest
-            .iter()
-            .any(|&v| f.opcode(v).is_some_and(|o| o.is_terminator()))
-        {
-            return None; // mid-block branch: the walker keeps going
-        }
-        if b == BlockId(0) && !phis.is_empty() {
-            return None; // entry phi is a runtime error — walker's job
-        }
-        shapes.push(BlockShape { phis, body });
-    }
-
-    // Per-instruction operand/target/type checks (anything the walker
-    // would panic or error on at runtime stays on the walker).
-    for shape in &shapes {
-        for &v in &shape.body {
-            check_instr(f, v, nb)?;
-        }
-    }
-
-    // CFG edges exactly as the walker takes them: Br → targets[0],
-    // CondBr → targets[0] and targets[1].
-    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); nb];
-    for (bi, shape) in shapes.iter().enumerate() {
-        let term = *shape.body.last().expect("checked non-empty");
-        let i = f.instr(term).expect("checked instr");
-        let targets: &[BlockId] = match i.opcode {
-            Opcode::Br => &i.targets[..1],
-            Opcode::CondBr => &i.targets[..2],
-            _ => &[],
-        };
-        for &t in targets {
-            let p = BlockId(bi as u32);
-            if !preds[t.0 as usize].contains(&p) {
-                preds[t.0 as usize].push(p);
-            }
-        }
-    }
-
-    // Every phi must cover every predecessor edge (a missing incoming is
-    // a runtime error the walker reports only when the edge is taken).
-    for (bi, shape) in shapes.iter().enumerate() {
-        for &p in &preds[bi] {
-            for &phi in &shape.phis {
-                let i = f.instr(phi).expect("checked instr");
-                let k = i.incoming.iter().position(|&b| b == p)?;
-                if k >= i.operands.len() {
-                    return None;
-                }
-            }
-        }
-    }
-
-    // Must-defined dataflow: every operand read must be a constant or
-    // provably written on every path, else the walker's "use of undefined
-    // value" runtime error could be reachable.
-    must_defined_ok(f, &shapes, &preds)?;
+    // Each block splits into its phi prefix and its body (terminator
+    // last), as the verifier guarantees.
+    let shapes: Vec<(&[ValueId], &[ValueId])> = f
+        .block_ids()
+        .map(|b| {
+            let instrs = &f.block(b).instrs;
+            let n = instrs
+                .iter()
+                .take_while(|&&v| f.opcode(v) == Some(Opcode::Phi))
+                .count();
+            instrs.split_at(n)
+        })
+        .collect();
 
     // Emission. Pass 1: block bodies, with branch targets recorded as
     // (pc, edge) fixups; pass 2: per-edge phi-move snippets + patching.
     let mut code: Vec<Op> = Vec::new();
     let mut vids: Vec<u32> = Vec::new();
     let mut sites: Vec<CallSite> = Vec::new();
-    let mut body_start: Vec<u32> = Vec::with_capacity(nb);
+    let mut body_start: Vec<u32> = Vec::with_capacity(shapes.len());
     // (pc, operand slot, from-block, to-block)
     let mut fixups: Vec<(usize, u8, BlockId, BlockId)> = Vec::new();
-    for (bi, shape) in shapes.iter().enumerate() {
+    for (bi, &(_, body)) in shapes.iter().enumerate() {
         body_start.push(code.len() as u32);
         let from = BlockId(bi as u32);
-        for &v in &shape.body {
-            let i = f.instr(v).expect("checked instr");
+        for &v in body {
+            let i = f.instr(v).expect("verified: blocks list instructions");
             let op = match i.opcode {
                 Opcode::Br => {
                     fixups.push((code.len(), 0, from, i.targets[0]));
@@ -506,8 +431,7 @@ fn compile_function(
                 Opcode::Ret => Op::Ret {
                     val: i.operands.first().map(|r| r.0),
                 },
-                _ => lower_instr(f, v, func_index, interner, &mut sites)
-                    .expect("checked by check_instr"),
+                _ => lower_instr(f, v, func_index, interner, &mut sites),
             };
             code.push(op);
             vids.push(v.0);
@@ -517,20 +441,20 @@ fn compile_function(
     // branch along it.
     let mut edge_pc: HashMap<(BlockId, BlockId), u32> = HashMap::new();
     for (pc, slot, from, to) in fixups {
-        let target = if shapes[to.0 as usize].phis.is_empty() {
+        let phis = shapes[to.0 as usize].0;
+        let target = if phis.is_empty() {
             body_start[to.0 as usize]
         } else {
             *edge_pc.entry((from, to)).or_insert_with(|| {
-                let moves: Box<[PhiMove]> = shapes[to.0 as usize]
-                    .phis
+                let moves: Box<[PhiMove]> = phis
                     .iter()
                     .map(|&phi| {
-                        let i = f.instr(phi).expect("checked instr");
+                        let i = f.instr(phi).expect("verified: phis are instructions");
                         let k = i
                             .incoming
                             .iter()
                             .position(|&b| b == from)
-                            .expect("checked coverage");
+                            .expect("verified: phis cover every predecessor");
                         PhiMove {
                             dst: phi.0,
                             src: i.operands[k].0,
@@ -571,7 +495,7 @@ fn compile_function(
         }
     }
 
-    Some(CompiledFunction {
+    Ok(CompiledFunction {
         name: f.name.as_str().into(),
         arity: f.params.len(),
         params: f.params.iter().map(|p| p.0).collect(),
@@ -582,76 +506,14 @@ fn compile_function(
     })
 }
 
-/// Operand/target-count and result-type checks for one body instruction:
-/// `None` means the walker would panic or raise a shape-dependent runtime
-/// error here, so the function must stay on the walker.
-fn check_instr(f: &Function, v: ValueId, nb: usize) -> Option<()> {
-    let i = f.instr(v)?;
-    let ty = &f.value(v).ty;
-    let need = |n: usize| (i.operands.len() >= n).then_some(());
-    match i.opcode {
-        Opcode::Add
-        | Opcode::Sub
-        | Opcode::Mul
-        | Opcode::SDiv
-        | Opcode::SRem
-        | Opcode::And
-        | Opcode::Or
-        | Opcode::Xor
-        | Opcode::Shl
-        | Opcode::AShr
-        | Opcode::FAdd
-        | Opcode::FSub
-        | Opcode::FMul
-        | Opcode::FDiv
-        | Opcode::ICmp(_)
-        | Opcode::FCmp(_) => need(2),
-        Opcode::Select => need(3),
-        Opcode::Gep => {
-            need(2)?;
-            ty.pointee().map(|_| ())
-        }
-        Opcode::Load => {
-            need(1)?;
-            MemKind::of(ty).map(|_| ())
-        }
-        Opcode::Store => {
-            need(2)?;
-            MemKind::of(&f.value(i.operands[0]).ty).map(|_| ())
-        }
-        Opcode::Alloca => {
-            need(1)?;
-            ty.pointee().map(|_| ())
-        }
-        Opcode::SExt
-        | Opcode::ZExt
-        | Opcode::Trunc
-        | Opcode::SIToFP
-        | Opcode::FPToSI
-        | Opcode::FPExt
-        | Opcode::FPTrunc => need(1),
-        Opcode::Call => i.callee.as_ref().map(|_| ()),
-        Opcode::Br => (!i.targets.is_empty() && (i.targets[0].0 as usize) < nb).then_some(()),
-        Opcode::CondBr => {
-            need(1)?;
-            (i.targets.len() >= 2
-                && (i.targets[0].0 as usize) < nb
-                && (i.targets[1].0 as usize) < nb)
-                .then_some(())
-        }
-        Opcode::Ret => Some(()),
-        Opcode::Phi => None, // phis never reach the body
-    }
-}
-
 fn lower_instr(
     f: &Function,
     v: ValueId,
     func_index: &HashMap<String, u32>,
     interner: &mut Interner,
     sites: &mut Vec<CallSite>,
-) -> Option<Op> {
-    let i = f.instr(v)?;
+) -> Op {
+    let i = f.instr(v).expect("verified: blocks list instructions");
     let ty = &f.value(v).ty;
     let dst = v.0;
     let r = |k: usize| i.operands[k].0;
@@ -669,7 +531,11 @@ fn lower_instr(
         a: r(0),
         b: r(1),
     };
-    Some(match i.opcode {
+    let pointee = || {
+        ty.pointee()
+            .expect("verified: gep and alloca yield pointers")
+    };
+    match i.opcode {
         Opcode::Add => int_bin(IntOp::Add),
         Opcode::Sub => int_bin(IntOp::Sub),
         Opcode::Mul => int_bin(IntOp::Mul),
@@ -706,22 +572,22 @@ fn lower_instr(
             dst,
             base: r(0),
             idx: r(1),
-            elem: ty.pointee()?.size_bytes() as i64,
+            elem: pointee().size_bytes() as i64,
         },
         Opcode::Load => Op::Load {
-            kind: MemKind::of(ty)?,
+            kind: MemKind::of(ty),
             dst,
             addr: r(0),
         },
         Opcode::Store => Op::Store {
-            kind: MemKind::of(&f.value(i.operands[0]).ty)?,
+            kind: MemKind::of(&f.value(i.operands[0]).ty),
             val: r(0),
             addr: r(1),
         },
         Opcode::Alloca => Op::Alloca {
             dst,
             n: r(0),
-            elem: ty.pointee()?.clone(),
+            elem: pointee().clone(),
         },
         Opcode::SExt | Opcode::ZExt | Opcode::Trunc => Op::IntCast {
             wrap: IntWrap::of(ty),
@@ -741,7 +607,7 @@ fn lower_instr(
         Opcode::FPExt => Op::FpExt { dst, src: r(0) },
         Opcode::FPTrunc => Op::FpTrunc { dst, src: r(0) },
         Opcode::Call => {
-            let callee = i.callee.as_deref()?;
+            let callee = i.callee.as_deref().expect("verified: calls name a callee");
             let sym = interner.intern(callee);
             // Walker dispatch order with hosts factored out: intrinsics
             // shadow module functions of the same name.
@@ -761,137 +627,10 @@ fn lower_instr(
             });
             Op::Call { site }
         }
-        Opcode::Phi | Opcode::Br | Opcode::CondBr | Opcode::Ret => return None,
-    })
-}
-
-/// A dense bitset over value ids.
-#[derive(Clone, PartialEq)]
-struct Defined(Vec<u64>);
-
-impl Defined {
-    fn full(n: usize) -> Defined {
-        Defined(vec![u64::MAX; n.div_ceil(64)])
-    }
-    fn empty(n: usize) -> Defined {
-        Defined(vec![0; n.div_ceil(64)])
-    }
-    fn set(&mut self, v: ValueId) {
-        self.0[v.0 as usize / 64] |= 1 << (v.0 % 64);
-    }
-    fn get(&self, v: ValueId) -> bool {
-        self.0[v.0 as usize / 64] >> (v.0 % 64) & 1 != 0
-    }
-    fn intersect(&mut self, other: &Defined) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a &= b;
+        Opcode::Phi | Opcode::Br | Opcode::CondBr | Opcode::Ret => {
+            unreachable!("phis and terminators are emitted by compile_function")
         }
     }
-}
-
-fn is_const(f: &Function, v: ValueId) -> bool {
-    matches!(
-        f.value(v).kind,
-        ValueKind::ConstInt(_) | ValueKind::ConstFloat(_)
-    )
-}
-
-/// Forward must-defined analysis (intersection over predecessors; the
-/// entry starts from parameters + constants). Returns `None` when any
-/// operand read — body operand, branch condition, return value, or phi
-/// operand on its edge — is not provably defined there.
-fn must_defined_ok(f: &Function, shapes: &[BlockShape], preds: &[Vec<BlockId>]) -> Option<()> {
-    let n = f.num_values();
-    let entry_in = {
-        let mut d = Defined::empty(n);
-        for &p in &f.params {
-            d.set(p);
-        }
-        for v in f.value_ids() {
-            if is_const(f, v) {
-                d.set(v);
-            }
-        }
-        d
-    };
-    let mut outs: Vec<Defined> = vec![Defined::full(n); shapes.len()];
-    // Fixpoint: defined sets only shrink from ⊤, so this terminates.
-    loop {
-        let mut changed = false;
-        for (bi, shape) in shapes.iter().enumerate() {
-            let mut d = if bi == 0 {
-                entry_in.clone()
-            } else {
-                let mut d = Defined::full(n);
-                for &p in &preds[bi] {
-                    d.intersect(&outs[p.0 as usize]);
-                }
-                d
-            };
-            for &phi in &shape.phis {
-                d.set(phi);
-            }
-            for &v in &shape.body {
-                d.set(v);
-            }
-            if d != outs[bi] {
-                outs[bi] = d;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Use checks against the converged solution. Body operands are read
-    // sequentially within the block, so track the running defined set.
-    for (bi, shape) in shapes.iter().enumerate() {
-        let mut d = if bi == 0 {
-            entry_in.clone()
-        } else {
-            let mut d = Defined::full(n);
-            for &p in &preds[bi] {
-                d.intersect(&outs[p.0 as usize]);
-            }
-            d
-        };
-        for &phi in &shape.phis {
-            d.set(phi);
-        }
-        for &v in &shape.body {
-            let i = f.instr(v).expect("checked instr");
-            let used: &[ValueId] = match i.opcode {
-                // Br has no operands; CondBr reads only the condition;
-                // Ret reads its optional operand.
-                Opcode::Br => &[],
-                Opcode::CondBr => &i.operands[..1],
-                _ => &i.operands,
-            };
-            for &u in used {
-                if !is_const(f, u) && !d.get(u) {
-                    return None;
-                }
-            }
-            d.set(v);
-        }
-        // Phi operands evaluate on the edge, reading end-of-predecessor
-        // state.
-        for &p in &preds[bi] {
-            for &phi in &shape.phis {
-                let i = f.instr(phi).expect("checked instr");
-                let k = i
-                    .incoming
-                    .iter()
-                    .position(|&b| b == p)
-                    .expect("checked coverage");
-                let u = i.operands[k];
-                if !is_const(f, u) && !outs[p.0 as usize].get(u) {
-                    return None;
-                }
-            }
-        }
-    }
-    Some(())
 }
 
 #[cfg(test)]
@@ -924,7 +663,6 @@ exit:
 "#,
         );
         let c = compile_module(&m);
-        assert_eq!(c.compiled_count(), 1);
         let cf = c.funcs[0].as_ref().unwrap();
         // Two edges into the phi-bearing header → two move snippets.
         let snippets = cf
@@ -959,15 +697,17 @@ exit:
     }
 
     #[test]
-    fn entry_phi_falls_back_to_the_walker() {
-        // An entry-block phi is a *runtime* walker error; the bytecode
-        // tier must leave the function to the oracle.
+    fn unverifiable_functions_compile_to_their_first_verifier_error() {
+        // An entry-block phi: the function becomes an error entry, its
+        // neighbour still compiles.
         let mut m = compile_text(
-            "define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 1\n  ret i64 %x\n}\n",
+            "define i64 @f(i64 %a) {\nentry:\n  %x = add i64 %a, 1\n  ret i64 %x\n}\n\ndefine i64 @g(i64 %a) {\nentry:\n  ret i64 %a\n}\n",
         );
         m.functions[0].append_phi(BlockId(0), Type::I64);
         let c = compile_module(&m);
-        assert!(c.funcs[0].is_none(), "entry phi must fall back");
+        let e = c.funcs[0].as_ref().unwrap_err();
+        assert!(e.starts_with("@f failed IR verification: "), "{e}");
+        assert!(c.funcs[1].is_ok());
     }
 
     #[test]
@@ -997,29 +737,5 @@ entry:
         assert!(matches!(cf.sites[2].target, CallTarget::Unknown));
         assert_eq!(c.symbols.len(), 3);
         assert_eq!(c.sym_index.len(), 3);
-    }
-
-    #[test]
-    fn possibly_undefined_operand_falls_back() {
-        // %x is only defined on the `then` path; the walker reports
-        // "use of undefined value" at runtime when `join` reads it after
-        // coming from `entry` — must-defined has to reject this.
-        let m = compile_text(
-            r#"
-define i64 @f(i64 %a) {
-entry:
-  %c = icmp sgt i64 %a, 0
-  br i1 %c, label %then, label %join
-then:
-  %x = add i64 %a, 1
-  br label %join
-join:
-  %r = add i64 %x, 2
-  ret i64 %r
-}
-"#,
-        );
-        let c = compile_module(&m);
-        assert!(c.funcs[0].is_none(), "maybe-undefined use must fall back");
     }
 }

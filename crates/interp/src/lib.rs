@@ -13,15 +13,16 @@
 //!    — the `hetero` crate converts profile counts into modeled sequential
 //!    milliseconds.
 //!
-//! Two executors share one semantics. The tree-walking [`Machine`] is a
-//! straightforward SSA evaluator over a byte-addressable memory and serves
-//! as the debug oracle; the production path lowers each module once with
-//! [`compile_module`] into a flat register bytecode and executes it many
-//! times with the [`Vm`] — same results, same errors, same step
-//! accounting, differential-tested bit-for-bit. Calls resolve in order
-//! to: registered *host functions* (the simulated heterogeneous APIs
-//! installed by the `hetero` crate), the math intrinsics, then module
-//! functions.
+//! Execution has one tier: [`compile_module`] verifies each function
+//! (`ssair::verify`) and lowers it once into a flat register bytecode,
+//! and the [`Vm`] executes that many times. A function that fails
+//! verification is an `ExecError` when called. The tree-walking
+//! [`Machine`] — a straightforward SSA evaluator over the same
+//! byte-addressable memory — is kept as the reference oracle that tests
+//! hold the VM to, bit-for-bit (results, errors, step accounting). Calls
+//! resolve in order to: registered *host functions* (the simulated
+//! heterogeneous APIs installed by the `hetero` crate), the math
+//! intrinsics, then module functions.
 
 mod bytecode;
 mod machine;

@@ -1,4 +1,5 @@
-//! The SSA evaluator.
+//! The tree-walking SSA evaluator: the reference oracle that tests hold
+//! the bytecode [`crate::Vm`] to.
 
 use crate::memory::Memory;
 use crate::profile::Profile;

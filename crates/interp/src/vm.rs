@@ -1,27 +1,24 @@
-//! The register bytecode VM.
+//! The register bytecode VM — the one execution tier.
 //!
 //! Executes a [`CompiledModule`] with semantics bit-for-bit identical to
-//! the tree-walking [`Machine`]: the same results, the same `ExecError`
-//! messages, the same `max_steps` accounting (one step per executed
-//! instruction, phi moves included), and — when profiling is enabled —
-//! the same per-`ValueId` execution counts. Functions the compiler left
-//! uncompiled run on an embedded fallback walker that shares this VM's
-//! memory, step counter, host registry and profile, so mixed
-//! compiled/walked call chains stay seamless.
+//! the tree-walking [`crate::Machine`]: the same results, the same
+//! `ExecError` messages, the same `max_steps` accounting (one step per
+//! executed instruction, phi moves included), and — when profiling is
+//! enabled — the same per-`ValueId` execution counts. A call to a
+//! function that failed IR verification returns that verifier error at
+//! the call site.
 //!
-//! The walker in `machine.rs` remains the independent oracle; the
+//! `Machine` is the reference oracle, used only by tests: the
 //! differential suite (`tests/vm_differential.rs` and the unit tests
 //! below) pins the two against each other.
 
 use crate::bytecode::{
-    CallSite, CallTarget, CompiledFunction, CompiledModule, FloatOp, IntOp, Intrinsic, MemKind, Op,
-    NO_VID,
+    CallSite, CallTarget, CompiledFunction, CompiledModule, FloatOp, IntOp, MemKind, Op, NO_VID,
 };
 use crate::machine::{ExecError, HostFn, HostRegistry, Value};
 use crate::memory::Memory;
 use crate::profile::Profile;
-use ssair::{BlockId, FCmpPred, Function, ICmpPred, Opcode, Type, ValueId};
-use std::collections::HashMap;
+use ssair::{FCmpPred, ICmpPred};
 
 type Result<T> = std::result::Result<T, ExecError>;
 
@@ -38,11 +35,8 @@ pub struct Vm<'c> {
     compiled: &'c CompiledModule<'c>,
     /// The linear memory of the run.
     pub mem: Memory,
-    /// Hosts by interned symbol — the fast path for compiled call sites.
+    /// Hosts by interned call-site symbol.
     host_slots: Vec<Option<HostFn<'c>>>,
-    /// Hosts by name — the fallback walker's registry (and names with no
-    /// interned call site).
-    hosts: HashMap<String, HostFn<'c>>,
     /// Abort knob for runaway programs.
     pub max_steps: u64,
     steps: u64,
@@ -61,7 +55,6 @@ impl<'c> Vm<'c> {
             compiled,
             mem: Memory::new(),
             host_slots: vec![None; compiled.symbols.len()],
-            hosts: HashMap::new(),
             max_steps: 2_000_000_000,
             steps: 0,
             profiling: false,
@@ -71,13 +64,11 @@ impl<'c> Vm<'c> {
 
     /// Registers a host function; calls to `name` dispatch to it before
     /// intrinsics and module functions are considered (the walker's
-    /// order).
-    pub fn register_host(&mut self, name: impl Into<String>, f: HostFn<'c>) {
-        let name = name.into();
-        if let Some(&sym) = self.compiled.sym_index.get(&name) {
-            self.host_slots[sym as usize] = Some(f.clone());
+    /// order). A name no call site in the module uses is never called.
+    pub fn register_host(&mut self, name: &str, f: HostFn<'c>) {
+        if let Some(&sym) = self.compiled.sym_index.get(name) {
+            self.host_slots[sym as usize] = Some(f);
         }
-        self.hosts.insert(name, f);
     }
 
     /// Steps executed so far.
@@ -114,10 +105,9 @@ impl<'c> Vm<'c> {
     }
 
     fn call_function(&mut self, idx: usize, args: &[Value]) -> Result<Value> {
-        let compiled = self.compiled;
-        match &compiled.funcs[idx] {
-            Some(cf) => self.exec_compiled(idx, cf, args),
-            None => self.walk_function(idx, &compiled.module.functions[idx], args),
+        match &self.compiled.funcs[idx] {
+            Ok(cf) => self.exec_compiled(idx, cf, args),
+            Err(message) => Err(err(message.clone())),
         }
     }
 
@@ -398,308 +388,6 @@ impl<'c> Vm<'c> {
             ))),
         }
     }
-
-    /// Name-based dispatch for the fallback walker: hosts, then
-    /// intrinsics, then module functions — which may themselves be
-    /// compiled.
-    fn dispatch_call(&mut self, callee: &str, args: &[Value]) -> Result<Value> {
-        if let Some(h) = self.hosts.get(callee).cloned() {
-            return h(&mut self.mem, args).map_err(err);
-        }
-        if let Some(k) = Intrinsic::by_name(callee) {
-            return k.eval(args).map_err(err);
-        }
-        let Some(&idx) = self.compiled.func_index.get(callee) else {
-            return Err(err(format!("call to unknown function {callee:?}")));
-        };
-        self.call_function(idx as usize, args)
-    }
-
-    // ---- The embedded fallback walker ----------------------------------
-    //
-    // A line-for-line mirror of `Machine::exec_function` (including its
-    // quirks: mid-block phis never execute, a mid-block branch keeps
-    // executing and the last one wins, non-instruction block entries are
-    // skipped), sharing this VM's memory, steps, hosts and profile. Kept
-    // duplicated on purpose: `machine.rs` must stay an *independent*
-    // oracle, and the differential suite pins the two together.
-
-    fn walk_function(&mut self, fidx: usize, f: &'c Function, args: &[Value]) -> Result<Value> {
-        if args.len() != f.params.len() {
-            return Err(err(format!(
-                "@{} expects {} arguments, got {}",
-                f.name,
-                f.params.len(),
-                args.len()
-            )));
-        }
-        let mut regs: Vec<Option<Value>> = vec![None; f.num_values()];
-        for (&p, &a) in f.params.iter().zip(args) {
-            regs[p.0 as usize] = Some(a);
-        }
-        let mut block = BlockId(0);
-        let mut prev: Option<BlockId> = None;
-        loop {
-            let mut phi_updates: Vec<(ValueId, Value)> = Vec::new();
-            for &v in &f.block(block).instrs {
-                let Some(i) = f.instr(v) else { continue };
-                if i.opcode != Opcode::Phi {
-                    break;
-                }
-                self.steps += 1;
-                if self.steps > self.max_steps {
-                    return Err(err("step limit exceeded (infinite loop?)"));
-                }
-                let from =
-                    prev.ok_or_else(|| err(format!("phi {} in entry block of @{}", v, f.name)))?;
-                let k = i
-                    .incoming
-                    .iter()
-                    .position(|&b| b == from)
-                    .ok_or_else(|| err(format!("phi {v}: no incoming from {from}")))?;
-                let val = self.walk_operand(f, &regs, i.operands[k])?;
-                phi_updates.push((v, val));
-                if self.profiling {
-                    self.bump(fidx, v.0);
-                }
-            }
-            for (v, val) in phi_updates {
-                regs[v.0 as usize] = Some(val);
-            }
-            let mut next: Option<BlockId> = None;
-            for &v in &f.block(block).instrs {
-                let Some(i) = f.instr(v) else { continue };
-                if i.opcode == Opcode::Phi {
-                    continue;
-                }
-                self.steps += 1;
-                if self.steps > self.max_steps {
-                    return Err(err("step limit exceeded (infinite loop?)"));
-                }
-                if self.profiling {
-                    self.bump(fidx, v.0);
-                }
-                match i.opcode {
-                    Opcode::Br => {
-                        next = Some(i.targets[0]);
-                    }
-                    Opcode::CondBr => {
-                        let c = self
-                            .walk_operand(f, &regs, i.operands[0])?
-                            .try_i()
-                            .map_err(err)?;
-                        next = Some(if c != 0 { i.targets[0] } else { i.targets[1] });
-                    }
-                    Opcode::Ret => {
-                        return match i.operands.first() {
-                            Some(&r) => self.walk_operand(f, &regs, r),
-                            None => Ok(Value::I(0)),
-                        };
-                    }
-                    _ => {
-                        let val = self.walk_instr(f, &mut regs, v)?;
-                        regs[v.0 as usize] = Some(val);
-                    }
-                }
-            }
-            match next {
-                Some(n) => {
-                    prev = Some(block);
-                    block = n;
-                }
-                None => {
-                    return Err(err(format!("block {block} fell through in @{}", f.name)));
-                }
-            }
-        }
-    }
-
-    fn walk_operand(&self, f: &Function, regs: &[Option<Value>], v: ValueId) -> Result<Value> {
-        match &f.value(v).kind {
-            ssair::ValueKind::ConstInt(c) => return Ok(Value::I(*c)),
-            ssair::ValueKind::ConstFloat(c) => return Ok(Value::F(*c)),
-            _ => {}
-        }
-        regs[v.0 as usize]
-            .ok_or_else(|| err(format!("use of undefined value {} in @{}", v, f.name)))
-    }
-
-    fn walk_instr(
-        &mut self,
-        f: &'c Function,
-        regs: &mut [Option<Value>],
-        v: ValueId,
-    ) -> Result<Value> {
-        let i = f.instr(v).expect("instruction");
-        let ty = &f.value(v).ty;
-        let op = |k: usize| self.walk_operand(f, regs, i.operands[k]);
-        let op_i = |k: usize| -> Result<i64> { op(k)?.try_i().map_err(err) };
-        let op_f = |k: usize| -> Result<f64> { op(k)?.try_f().map_err(err) };
-        let op_p = |k: usize| -> Result<u64> { op(k)?.try_p().map_err(err) };
-        let wrap_int = |ty: &Type, x: i64| -> i64 {
-            match ty {
-                Type::I1 => x & 1,
-                Type::I32 => i64::from(x as i32),
-                _ => x,
-            }
-        };
-        let wrap_float = |ty: &Type, x: f64| -> f64 {
-            if *ty == Type::F32 {
-                x as f32 as f64
-            } else {
-                x
-            }
-        };
-        Ok(match i.opcode {
-            Opcode::Add
-            | Opcode::Sub
-            | Opcode::Mul
-            | Opcode::SDiv
-            | Opcode::SRem
-            | Opcode::And
-            | Opcode::Or
-            | Opcode::Xor
-            | Opcode::Shl
-            | Opcode::AShr => {
-                let a = op_i(0)?;
-                let b = op_i(1)?;
-                let r = match i.opcode {
-                    Opcode::Add => a.wrapping_add(b),
-                    Opcode::Sub => a.wrapping_sub(b),
-                    Opcode::Mul => a.wrapping_mul(b),
-                    Opcode::SDiv => {
-                        if b == 0 {
-                            return Err(err("integer division by zero"));
-                        }
-                        a.wrapping_div(b)
-                    }
-                    Opcode::SRem => {
-                        if b == 0 {
-                            return Err(err("integer remainder by zero"));
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    Opcode::And => a & b,
-                    Opcode::Or => a | b,
-                    Opcode::Xor => a ^ b,
-                    Opcode::Shl => a.wrapping_shl(b as u32),
-                    Opcode::AShr => a.wrapping_shr(b as u32),
-                    _ => unreachable!(),
-                };
-                Value::I(wrap_int(ty, r))
-            }
-            Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv => {
-                let a = op_f(0)?;
-                let b = op_f(1)?;
-                let r = match i.opcode {
-                    Opcode::FAdd => a + b,
-                    Opcode::FSub => a - b,
-                    Opcode::FMul => a * b,
-                    Opcode::FDiv => a / b,
-                    _ => unreachable!(),
-                };
-                Value::F(wrap_float(ty, r))
-            }
-            Opcode::ICmp(pred) => {
-                let a = op(0)?;
-                let b = op(1)?;
-                let (a, b) = match (a, b) {
-                    (Value::P(x), Value::P(y)) => (x as i64, y as i64),
-                    (x, y) => (x.try_i().map_err(err)?, y.try_i().map_err(err)?),
-                };
-                let r = match pred {
-                    ICmpPred::Eq => a == b,
-                    ICmpPred::Ne => a != b,
-                    ICmpPred::Slt => a < b,
-                    ICmpPred::Sle => a <= b,
-                    ICmpPred::Sgt => a > b,
-                    ICmpPred::Sge => a >= b,
-                };
-                Value::I(i64::from(r))
-            }
-            Opcode::FCmp(pred) => {
-                let a = op_f(0)?;
-                let b = op_f(1)?;
-                let r = match pred {
-                    FCmpPred::Oeq => a == b,
-                    FCmpPred::One => a != b,
-                    FCmpPred::Olt => a < b,
-                    FCmpPred::Ole => a <= b,
-                    FCmpPred::Ogt => a > b,
-                    FCmpPred::Oge => a >= b,
-                };
-                Value::I(i64::from(r))
-            }
-            Opcode::Select => {
-                if op_i(0)? != 0 {
-                    op(1)?
-                } else {
-                    op(2)?
-                }
-            }
-            Opcode::Gep => {
-                let base = op_p(0)?;
-                let idx = op_i(1)?;
-                let elem = ty.pointee().expect("gep yields pointer").size_bytes() as i64;
-                Value::P((base as i64 + idx * elem) as u64)
-            }
-            Opcode::Load => {
-                let addr = op_p(0)?;
-                match ty {
-                    Type::I1 => Value::I(self.mem.load_i8(addr).map_err(err)?),
-                    Type::I32 => Value::I(self.mem.load_i32(addr).map_err(err)?),
-                    Type::I64 => Value::I(self.mem.load_i64(addr).map_err(err)?),
-                    Type::F32 => Value::F(self.mem.load_f32(addr).map_err(err)?),
-                    Type::F64 => Value::F(self.mem.load_f64(addr).map_err(err)?),
-                    Type::Ptr(_) => Value::P(self.mem.load_i64(addr).map_err(err)? as u64),
-                    Type::Void => return Err(err("load of void")),
-                }
-            }
-            Opcode::Store => {
-                let val = op(0)?;
-                let addr = op_p(1)?;
-                let res = match &f.value(i.operands[0]).ty {
-                    Type::I1 => val.try_i().and_then(|x| self.mem.store_i8(addr, x)),
-                    Type::I32 => val.try_i().and_then(|x| self.mem.store_i32(addr, x)),
-                    Type::I64 => val.try_i().and_then(|x| self.mem.store_i64(addr, x)),
-                    Type::F32 => val.try_f().and_then(|x| self.mem.store_f32(addr, x)),
-                    Type::F64 => val.try_f().and_then(|x| self.mem.store_f64(addr, x)),
-                    Type::Ptr(_) => val.try_p().and_then(|x| self.mem.store_i64(addr, x as i64)),
-                    Type::Void => return Err(err("store of void")),
-                };
-                res.map_err(err)?;
-                Value::I(0)
-            }
-            Opcode::Alloca => {
-                let n = op_i(0)?;
-                if n < 0 {
-                    return Err(err("negative alloca size"));
-                }
-                let elem = ty.pointee().expect("alloca yields pointer");
-                Value::P(self.mem.alloc(elem, n as usize))
-            }
-            Opcode::SExt | Opcode::ZExt => Value::I(wrap_int(ty, op_i(0)?)),
-            Opcode::Trunc => Value::I(wrap_int(ty, op_i(0)?)),
-            Opcode::SIToFP => Value::F(wrap_float(ty, op_i(0)? as f64)),
-            Opcode::FPToSI => Value::I(wrap_int(ty, op_f(0)? as i64)),
-            Opcode::FPExt => Value::F(op_f(0)?),
-            Opcode::FPTrunc => Value::F(op_f(0)? as f32 as f64),
-            Opcode::Call => {
-                let callee = i
-                    .callee
-                    .as_deref()
-                    .ok_or_else(|| err("call without callee"))?;
-                let mut args = Vec::with_capacity(i.operands.len());
-                for k in 0..i.operands.len() {
-                    args.push(op(k)?);
-                }
-                self.dispatch_call(callee, &args)?
-            }
-            Opcode::Phi | Opcode::Br | Opcode::CondBr | Opcode::Ret => {
-                unreachable!("handled by the block loop")
-            }
-        })
-    }
 }
 
 impl<'c> HostRegistry<'c> for Vm<'c> {
@@ -962,13 +650,10 @@ exit:
         assert_eq!(plain.run("f", &[Value::F(4.0)]).unwrap(), Value::F(2.0));
     }
 
-    #[test]
-    fn fallback_walker_handles_uncompiled_functions_and_mixed_calls() {
-        // @weird has a maybe-undefined use → stays on the fallback
-        // walker; @main is compiled and calls it. The walker error must
-        // surface unchanged through the mixed call chain.
-        let m = compile_text(
-            r#"
+    /// `@weird` reads `%x` on a path that never defines it, which the
+    /// verifier rejects; `@main` is well formed and calls it only when
+    /// `%a > 0`, after a store.
+    const UNVERIFIED_CALLEE: &str = r#"
 define i64 @weird(i64 %a) {
 entry:
   %c = icmp sgt i64 %a, 0
@@ -981,20 +666,80 @@ join:
   ret i64 %r
 }
 
-define i64 @main(i64 %a) {
+define i64 @main(i64* %p, i64 %a) {
 entry:
+  store i64 %a, i64* %p
+  %c = icmp sgt i64 %a, 0
+  br i1 %c, label %call, label %done
+call:
   %r = call i64 @weird(i64 %a)
   ret i64 %r
+done:
+  ret i64 0
 }
-"#,
-        );
+"#;
+
+    #[test]
+    fn calling_an_unverified_function_returns_the_verifier_error() {
+        let m = compile_text(UNVERIFIED_CALLEE);
+        let first = ssair::verify::verify_function(&m.functions[0]).unwrap_err()[0]
+            .message
+            .clone();
         let code = compile_module(&m);
-        assert!(code.funcs[0].is_none());
-        assert!(code.funcs[1].is_some());
-        // Defined path: both executors agree on value and steps.
-        assert_parity(&m, "main", &[Value::I(5)]);
-        // Undefined path: the walker's runtime error, bit-for-bit.
-        assert_parity(&m, "main", &[Value::I(-5)]);
+        let mut vm = Vm::new(&code);
+        let e = vm.run("weird", &[Value::I(1)]).unwrap_err();
+        assert_eq!(e.message, format!("@weird failed IR verification: {first}"));
+        assert_eq!(vm.steps(), 0, "nothing of @weird executes");
+    }
+
+    #[test]
+    fn a_verified_caller_fails_at_the_call_site_of_an_unverified_callee() {
+        let m = compile_text(UNVERIFIED_CALLEE);
+        let code = compile_module(&m);
+        // The path that avoids the call runs normally.
+        let mut vm = Vm::new(&code);
+        let p = vm.mem.alloc(&ssair::Type::I64, 1);
+        assert_eq!(
+            vm.run("main", &[Value::P(p), Value::I(-3)]),
+            Ok(Value::I(0))
+        );
+        // The path that takes it runs up to and including the call.
+        let mut vm = Vm::new(&code);
+        let p = vm.mem.alloc(&ssair::Type::I64, 1);
+        let e = vm.run("main", &[Value::P(p), Value::I(5)]).unwrap_err();
+        assert!(
+            e.message.starts_with("@weird failed IR verification: "),
+            "{e}"
+        );
+        assert_eq!(vm.mem.load_i64(p), Ok(5), "the store before the call ran");
+        assert_eq!(vm.steps(), 4, "store, icmp, br, call");
+    }
+
+    #[test]
+    fn malformed_shapes_are_exec_errors_not_panics() {
+        let mut short =
+            ssair::Function::new("f", &[("x".into(), ssair::Type::I64)], ssair::Type::I64);
+        let x = short.params[0];
+        let r = short.append_simple(
+            ssair::BlockId(0),
+            ssair::Type::I64,
+            ssair::Opcode::Add,
+            vec![x],
+        );
+        short.append_ret(ssair::BlockId(0), Some(r));
+        let mut one_operand_add = ssair::Module::new("m");
+        one_operand_add.add_function(short);
+        let entry_loop = compile_text(
+            "define i64 @f(i64 %x) {\nentry:\n  %i = phi i64 [ %x, %entry ]\n  br label %entry\n}\n",
+        );
+        let void_load = compile_text(
+            "define void @f(void* %x) {\nentry:\n  %v = load void, void* %x\n  ret void\n}\n",
+        );
+        for m in [one_operand_add, entry_loop, void_load] {
+            let code = compile_module(&m);
+            let e = Vm::new(&code).run("f", &[Value::I(1)]).unwrap_err();
+            assert!(e.message.starts_with("@f failed IR verification: "), "{e}");
+        }
     }
 
     #[test]

@@ -28,6 +28,19 @@ pub use loops::{Loop, LoopForest};
 
 use crate::function::{Function, ValueId};
 
+/// [`Analyses::inst_dominates`] over just the two tables it reads (the
+/// verifier builds only these).
+pub(crate) fn inst_dominates_in(layout: &Layout, dom: &DomTree, a: ValueId, b: ValueId) -> bool {
+    let (Some(ba), Some(bb)) = (layout.block_of(a), layout.block_of(b)) else {
+        return false;
+    };
+    if ba == bb {
+        layout.position(a) <= layout.position(b)
+    } else {
+        dom.dominates(ba, bb)
+    }
+}
+
 /// All analyses for one function, computed eagerly and cached together.
 ///
 /// The constraint solver holds one `Analyses` per searched function; every
@@ -72,14 +85,7 @@ impl Analyses {
     /// from function entry to `b` passes through `a` first. Reflexive.
     #[must_use]
     pub fn inst_dominates(&self, a: ValueId, b: ValueId) -> bool {
-        let (Some(ba), Some(bb)) = (self.layout.block_of(a), self.layout.block_of(b)) else {
-            return false;
-        };
-        if ba == bb {
-            self.layout.position(a) <= self.layout.position(b)
-        } else {
-            self.dom.dominates(ba, bb)
-        }
+        inst_dominates_in(&self.layout, &self.dom, a, b)
     }
 
     /// Strict instruction dominance (`a != b`).

@@ -5,8 +5,8 @@
 //! uses must be dominated by definitions, and operand/result types must be
 //! consistent for the common instruction shapes.
 
-use crate::analysis::Analyses;
-use crate::function::{Function, Opcode};
+use crate::analysis::{inst_dominates_in, Cfg, DomTree, Layout};
+use crate::function::{BlockId, Function, Instr, Opcode};
 use crate::module::Module;
 use crate::types::Type;
 
@@ -51,7 +51,9 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
         };
     }
 
-    // Block structure: non-empty, exactly one terminator, at the end.
+    // Block structure: non-empty, exactly one terminator, at the end;
+    // per-instruction operand/target/callee shape; no phis in (and no
+    // edges into) the entry block.
     for b in f.block_ids() {
         let instrs = &f.block(b).instrs;
         if instrs.is_empty() {
@@ -59,10 +61,19 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
             continue;
         }
         for (pos, &v) in instrs.iter().enumerate() {
-            let Some(i) = f.instr(v) else {
+            let Some(i) = ((v.0 as usize) < f.num_values())
+                .then(|| f.instr(v))
+                .flatten()
+            else {
                 err!("block {b} lists non-instruction value {v}");
                 continue;
             };
+            if let Err(msg) = check_shape(f, i) {
+                err!("{} {v} in {b}: {msg}", i.opcode.mnemonic());
+            }
+            if i.opcode == Opcode::Phi && b == BlockId(0) {
+                err!("phi {v} in the entry block");
+            }
             let is_last = pos + 1 == instrs.len();
             if i.opcode.is_terminator() != is_last {
                 err!(
@@ -84,10 +95,14 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
         return Err(errors); // analyses below need structural sanity
     }
 
-    let an = Analyses::new(f);
+    // Only the tables the checks below read, not the full `Analyses`.
+    let layout = Layout::new(f);
+    let cfg = Cfg::new(f);
+    let dom = DomTree::dominators(&cfg);
+    let dominates = |a, b| inst_dominates_in(&layout, &dom, a, b);
 
     for b in f.block_ids() {
-        if !an.cfg.is_reachable(b) {
+        if !cfg.is_reachable(b) {
             err!("block {b} is unreachable");
         }
     }
@@ -100,7 +115,7 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
             let i = f.instr(v).expect("checked above");
             // Phi incoming edges must exactly match CFG predecessors.
             if i.opcode == Opcode::Phi {
-                let preds = an.cfg.preds(b);
+                let preds = cfg.preds(b);
                 if i.incoming.len() != preds.len() || !preds.iter().all(|p| i.incoming.contains(p))
                 {
                     err!(
@@ -108,9 +123,6 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
                         i.incoming,
                         preds
                     );
-                }
-                if i.operands.len() != i.incoming.len() {
-                    err!("phi {v}: operand/incoming arity mismatch");
                 }
             }
             // Dominance: each use must be dominated by its definition.
@@ -122,9 +134,9 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
                     // Phi uses must dominate the end of the incoming block.
                     let from = i.incoming[k];
                     let term = f.terminator(from).expect("terminated block");
-                    an.inst_dominates(op, term)
+                    dominates(op, term)
                 } else {
-                    an.inst_strictly_dominates(op, v)
+                    op != v && dominates(op, v)
                 };
                 if !ok {
                     err!(
@@ -143,6 +155,79 @@ pub fn verify_function(f: &Function) -> Result<(), Vec<VerifyError>> {
     } else {
         Err(errors)
     }
+}
+
+/// The operand, target and callee counts each opcode requires, plus
+/// range checks on every id — everything later passes (and executors)
+/// index without checking.
+fn check_shape(f: &Function, i: &Instr) -> Result<(), String> {
+    if let Some(op) = i.operands.iter().find(|op| op.0 as usize >= f.num_values()) {
+        return Err(format!("operand {op} is out of range"));
+    }
+    if let Some(b) = i
+        .targets
+        .iter()
+        .chain(&i.incoming)
+        .find(|b| b.0 as usize >= f.num_blocks())
+    {
+        return Err(format!("block {b} is out of range"));
+    }
+    if i.targets.contains(&BlockId(0)) {
+        return Err("branches to the entry block, which must have no predecessors".into());
+    }
+    let (operands, targets) = match i.opcode {
+        Opcode::Add
+        | Opcode::Sub
+        | Opcode::Mul
+        | Opcode::SDiv
+        | Opcode::SRem
+        | Opcode::And
+        | Opcode::Or
+        | Opcode::Xor
+        | Opcode::Shl
+        | Opcode::AShr
+        | Opcode::FAdd
+        | Opcode::FSub
+        | Opcode::FMul
+        | Opcode::FDiv
+        | Opcode::ICmp(_)
+        | Opcode::FCmp(_)
+        | Opcode::Gep
+        | Opcode::Store => (2..=2, 0),
+        Opcode::Select => (3..=3, 0),
+        Opcode::Load
+        | Opcode::Alloca
+        | Opcode::SExt
+        | Opcode::ZExt
+        | Opcode::Trunc
+        | Opcode::SIToFP
+        | Opcode::FPToSI
+        | Opcode::FPExt
+        | Opcode::FPTrunc => (1..=1, 0),
+        Opcode::Call => (0..=usize::MAX, 0),
+        Opcode::Phi => {
+            if i.operands.len() != i.incoming.len() {
+                return Err("operand/incoming arity mismatch".into());
+            }
+            (0..=usize::MAX, 0)
+        }
+        Opcode::Br => (0..=0, 1),
+        Opcode::CondBr => (1..=1, 2),
+        Opcode::Ret => (0..=1, 0),
+    };
+    if !operands.contains(&i.operands.len()) {
+        return Err(format!("has {} operands", i.operands.len()));
+    }
+    if i.targets.len() != targets {
+        return Err(format!(
+            "has {} targets, expects {targets}",
+            i.targets.len()
+        ));
+    }
+    if i.opcode == Opcode::Call && i.callee.is_none() {
+        return Err("call without callee".into());
+    }
+    Ok(())
 }
 
 // Collapsing the per-opcode checks into match guards would make failing
@@ -193,13 +278,22 @@ fn verify_types(f: &Function, v: crate::ValueId, errors: &mut Vec<VerifyError>) 
             }
         }
         Opcode::Load => {
-            if opty(0).pointee() != Some(ty) {
+            if *ty == Type::Void {
+                err!("load {} of void", f.display_name(v));
+            } else if opty(0).pointee() != Some(ty) {
                 err!("load {} type does not match pointer", f.display_name(v));
             }
         }
         Opcode::Store => {
-            if opty(1).pointee() != Some(opty(0)) {
+            if *opty(0) == Type::Void {
+                err!("store {} of void", f.display_name(v));
+            } else if opty(1).pointee() != Some(opty(0)) {
                 err!("store {} type does not match pointer", f.display_name(v));
+            }
+        }
+        Opcode::Alloca => {
+            if !ty.is_pointer() {
+                err!("alloca {} does not yield a pointer", f.display_name(v));
             }
         }
         Opcode::CondBr => {
@@ -306,6 +400,101 @@ exit:
         .unwrap();
         let errs = verify_function(&f).unwrap_err();
         assert!(errs.iter().any(|e| e.message.contains("incoming")));
+    }
+
+    #[test]
+    fn reports_malformed_instruction_shapes_instead_of_panicking() {
+        let x = |f: &Function| f.params[0];
+        let one_operand_add = {
+            let mut f = Function::new("short", &[("x".into(), Type::I64)], Type::I64);
+            let r = f.append_simple(BlockId(0), Type::I64, Opcode::Add, vec![x(&f)]);
+            f.append_ret(BlockId(0), Some(r));
+            f
+        };
+        let targetless_br = {
+            let mut f = Function::new("nobr", &[("x".into(), Type::I64)], Type::Void);
+            f.append_simple(BlockId(0), Type::Void, Opcode::Br, vec![]);
+            f
+        };
+        let dangling_target = {
+            let mut f = Function::new("far", &[("x".into(), Type::I64)], Type::Void);
+            f.append_br(BlockId(0), BlockId(7));
+            f
+        };
+        let calleeless_call = {
+            let mut f = Function::new("anon", &[("x".into(), Type::I64)], Type::Void);
+            f.append_simple(BlockId(0), Type::I64, Opcode::Call, vec![x(&f)]);
+            f.append_ret(BlockId(0), None);
+            f
+        };
+        let integer_alloca = {
+            let mut f = Function::new("alloc", &[("x".into(), Type::I64)], Type::Void);
+            f.append_simple(BlockId(0), Type::I64, Opcode::Alloca, vec![x(&f)]);
+            f.append_ret(BlockId(0), None);
+            f
+        };
+        for (f, want) in [
+            (one_operand_add, "has 1 operands"),
+            (integer_alloca, "does not yield a pointer"),
+            (targetless_br, "has 0 targets, expects 1"),
+            (dangling_target, "block bb7 is out of range"),
+            (calleeless_call, "call without callee"),
+        ] {
+            let errs = verify_function(&f).unwrap_err();
+            assert!(
+                errs.iter().any(|e| e.message.contains(want)),
+                "@{}: {errs:?}",
+                f.name
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_entry_block_predecessors_and_phis() {
+        let looped = parse_function_text(
+            r#"
+define i64 @f(i64 %n) {
+entry:
+  %i = phi i64 [ %i.next, %entry ]
+  %i.next = add i64 %i, 1
+  %c = icmp slt i64 %i.next, %n
+  br i1 %c, label %entry, label %exit
+exit:
+  ret i64 %i
+}
+"#,
+        )
+        .unwrap();
+        let errs = verify_function(&looped).unwrap_err();
+        assert!(
+            errs.iter().any(|e| e.message.contains("no predecessors")),
+            "{errs:?}"
+        );
+        // An entry phi with no incoming edges at all is rejected too.
+        let mut lone = Function::new("lone", &[], Type::I64);
+        let phi = lone.append_phi(BlockId(0), Type::I64);
+        lone.append_ret(BlockId(0), Some(phi));
+        let errs = verify_function(&lone).unwrap_err();
+        assert!(
+            errs.iter()
+                .any(|e| e.message.contains("in the entry block")),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn rejects_void_loads_and_stores() {
+        for text in [
+            "define void @f(void* %p) {\nentry:\n  %x = load void, void* %p\n  ret void\n}\n",
+            "define void @f(void* %p) {\nentry:\n  %x = call void @g()\n  store void %x, void* %p\n  ret void\n}\n",
+        ] {
+            let f = parse_function_text(text).unwrap();
+            let errs = verify_function(&f).unwrap_err();
+            assert!(
+                errs.iter().any(|e| e.message.contains("of void")),
+                "{text}: {errs:?}"
+            );
+        }
     }
 
     #[test]

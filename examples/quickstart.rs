@@ -6,7 +6,7 @@
 //!     cargo run --example quickstart
 
 use idiomatch::core as pipeline;
-use idiomatch::interp::{Machine, Value};
+use idiomatch::interp::{compile_module, Value, Vm};
 
 fn main() {
     let source = "double dot(double* x, double* y, int n) {
@@ -50,7 +50,8 @@ fn main() {
     println!("{}", transformed.function("dot").unwrap());
 
     // 4. Run the transformed program.
-    let mut vm = Machine::new(&transformed);
+    let code = compile_module(&transformed);
+    let mut vm = Vm::new(&code);
     idiomatch::hetero::hosts::register_all(&mut vm);
     let x = vm.mem.alloc_f64_slice(&[1.0, 2.0, 3.0, 4.0]);
     let y = vm.mem.alloc_f64_slice(&[2.0, 2.0, 2.0, 2.0]);

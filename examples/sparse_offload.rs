@@ -6,7 +6,7 @@
 
 use idiomatch::core as pipeline;
 use idiomatch::idioms::IdiomKind;
-use idiomatch::interp::{Machine, Value};
+use idiomatch::interp::{compile_module, Value, Vm};
 
 const CG_KERNEL: &str = "
 void spmv(double* a, int* rowstr, int* colidx, double* z, double* r, int m) {
@@ -64,7 +64,8 @@ fn main() {
     println!("\n== Figure 6: generated call ==  @{}", rep.callee);
     println!("{}", transformed.function("spmv").unwrap());
 
-    let mut vm = Machine::new(&transformed);
+    let code = compile_module(&transformed);
+    let mut vm = Vm::new(&code);
     idiomatch::hetero::hosts::register_all(&mut vm);
     let args = setup(&mut vm.mem, idiomatch::benchsuite::CANONICAL_SEED);
     let rp = args[4].as_p();

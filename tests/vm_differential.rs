@@ -1,9 +1,11 @@
-//! Differential suite for the two executor tiers: the tree-walking
-//! `Machine` oracle and the bytecode `Vm` must agree **bit-for-bit** —
-//! return value, every byte of final memory, and the step counter — on
-//! every bundled benchmark under multiple input seeds, on randomized
-//! progen programs, and on error paths (same `ExecError` message at the
-//! same step count, step-limit exhaustion included).
+//! Differential suite for the one execution tier: the bytecode `Vm` must
+//! agree **bit-for-bit** with the tree-walking `Machine` oracle — return
+//! value, every byte of final memory, and the step counter — on every
+//! bundled benchmark under multiple input seeds, on randomized progen
+//! programs, and on error paths (same `ExecError` message at the same
+//! step count, step-limit exhaustion included). Every module compared
+//! here must also pass IR verification function by function, since
+//! that is what makes `compile_module` lower it.
 
 use idiomatch::benchsuite;
 use idiomatch::hetero::hosts::register_all;
@@ -79,6 +81,16 @@ fn exec(
     }
 }
 
+/// Asserts every function of `m` passes verification, so none of it
+/// compiles to an error entry.
+fn assert_verified(m: &ssair::Module, ctx: &str) {
+    for f in &m.functions {
+        if let Err(errs) = ssair::verify::verify_function(f) {
+            panic!("{ctx}: @{} fails verification: {}", f.name, errs[0]);
+        }
+    }
+}
+
 /// Asserts walker ≡ VM on one module/entry/seed, optionally under a step
 /// budget. Returns the shared trace for further checks.
 fn assert_parity(
@@ -104,12 +116,7 @@ fn assert_parity(
 fn all_benchmarks_agree_bitwise_across_seeds() {
     for b in benchsuite::all() {
         let m = idiomatch::minicc::compile(b.source, b.name).unwrap();
-        let code = compile_module(&m);
-        assert!(
-            code.compiled_count() > 0,
-            "{}: nothing was eligible for bytecode",
-            b.name
-        );
+        assert_verified(&m, b.name);
         for &seed in &benchsuite::VALIDATION_SEEDS {
             let t = assert_parity(
                 &m,
@@ -125,12 +132,13 @@ fn all_benchmarks_agree_bitwise_across_seeds() {
 }
 
 /// The same suite run through the *transformed* modules (vendor calls
-/// inserted), exercising the host-dispatch path on both tiers.
+/// inserted), exercising the host-dispatch path on the VM and the oracle.
 #[test]
 fn transformed_benchmarks_agree_bitwise() {
     for b in benchsuite::all() {
         let m = idiomatch::minicc::compile(b.source, b.name).unwrap();
         let xf = idiomatch::xform::transform_module(&m);
+        assert_verified(&xf.module, &format!("{} (transformed)", b.name));
         for &seed in &benchsuite::VALIDATION_SEEDS[..2] {
             assert_parity(
                 &xf.module,
@@ -173,7 +181,7 @@ fn error_paths_agree_bitwise() {
         );
         assert!(t.result.is_err(), "{entry}: case must fail");
     }
-    // Unknown function name: identical error string on both tiers.
+    // Unknown function name: identical error string on the VM and the oracle.
     let m = idiomatch::minicc::compile("int id(int x) { return x; }", "id").unwrap();
     let t = assert_parity(&m, "nope", &|_, _| vec![], 0, None, "unknown entry");
     assert!(t.result.is_err());
@@ -221,13 +229,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Randomized planted-idiom programs (near-misses and filler
-    /// included) execute identically on both tiers under every fuzz
+    /// included) execute identically on the VM and the oracle under every fuzz
     /// seed — original and transformed module alike.
     #[test]
     fn progen_programs_agree_bitwise(seed in 0u64..300) {
         let spec = idiomatch::progen::generate(seed);
         let m = idiomatch::minicc::compile(&spec.render(), "prop").unwrap();
         let xf = idiomatch::xform::transform_module(&m);
+        assert_verified(&m, &format!("progen {seed}"));
+        assert_verified(&xf.module, &format!("progen {seed} (transformed)"));
         for &input in &idiomatch::progen::FUZZ_SEEDS {
             let setup = |mem: &mut Memory, s: u64| idiomatch::progen::setup(mem, s);
             assert_parity(
