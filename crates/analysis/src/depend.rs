@@ -166,12 +166,6 @@ impl ParamAliasFacts {
         ParamAliasFacts { pairs }
     }
 
-    /// `true` when `m` contains at least one call site of `callee`.
-    #[must_use]
-    pub fn has_call_sites(&self, callee: &str) -> bool {
-        self.pairs.keys().any(|(c, _, _)| c == callee)
-    }
-
     fn lookup(&self, callee: &str, i: usize, j: usize) -> Option<PairFact> {
         let key = (callee.to_owned(), i.min(j), i.max(j));
         self.pairs.get(&key).copied()

@@ -177,7 +177,7 @@ fn main() {
     // strategy-independent baseline comparable across PRs (the seeded
     // production pipeline is what `mean_ms` measures).
     let solve_opts = solver::SolveOptions {
-        max_solutions: opts.max_solutions,
+        max_solutions: idioms::MAX_SOLUTIONS,
         max_steps: opts.max_steps,
     };
     let mut per_idiom_acc: std::collections::BTreeMap<&'static str, f64> = Default::default();

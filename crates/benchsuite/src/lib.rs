@@ -328,10 +328,7 @@ mod tests {
             .iter()
             .map(|b| minicc::compile(b.source, b.name).unwrap())
             .collect();
-        let tiny = idioms::DetectOptions {
-            max_steps: 50,
-            ..idioms::DetectOptions::default()
-        };
+        let tiny = idioms::DetectOptions { max_steps: 50 };
         let mut truncated = 0usize;
         let mut tiny_instances = 0usize;
         for m in &modules {
@@ -339,7 +336,7 @@ mod tests {
                 let d = idioms::detect_with(f, &tiny);
                 if !d.complete {
                     truncated += 1;
-                    // Documented budget accounting (see idioms::detect_kinds_with):
+                    // Documented budget accounting (see idioms::detect_with):
                     // per kind at most max_steps for the seeded attempt plus
                     // max_steps for the unseeded fallback, plus max_steps per
                     // distinct skeleton key for the shared prepass.

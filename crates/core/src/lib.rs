@@ -670,8 +670,8 @@ pub fn transform_and_validate_module(
 /// module against the original under every input seed.
 ///
 /// This is the entry point the `progen` fuzz driver and the corpus replay
-/// tests run per generated program; `detect_complete` distinguishes "no
-/// instance found" from "the search was cut off".
+/// tests run per generated program; `incomplete_functions` distinguishes
+/// "no instance found" from "the search was cut off".
 #[derive(Debug)]
 pub struct PipelineOutcome {
     /// The compiled (optimized, verified) original module.
@@ -716,14 +716,6 @@ pub struct PipelineTimings {
     pub transform_s: f64,
     /// Multi-seed differential validation.
     pub validate_s: f64,
-}
-
-impl PipelineOutcome {
-    /// `true` when no per-function search was truncated by a budget.
-    #[must_use]
-    pub fn detect_complete(&self) -> bool {
-        self.incomplete_functions.is_empty()
-    }
 }
 
 /// Runs compile → detect → transform-all → validate on `source`.

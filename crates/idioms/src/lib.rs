@@ -91,7 +91,10 @@ impl IdiomKind {
         }
     }
 
-    fn anchor_var(self) -> &'static str {
+    /// The binding name of the instruction that anchors an instance (the
+    /// store deleted on replacement, or the scalar accumulator phi).
+    #[must_use]
+    pub fn anchor_var(self) -> &'static str {
         match self {
             IdiomKind::Gemm => "output.store",
             IdiomKind::Spmv => "output.store",
@@ -152,78 +155,148 @@ pub fn idl_line_count() -> usize {
 /// compiled constraints carry the same chain text share one cache entry.
 pub type SkeletonKey = String;
 
-/// The per-idiom skeleton chain, precomputed once: the cache key, the
-/// idiom-side variables the chain binds (deduplicated in first-occurrence
-/// order — exactly the seed prefix of the idiom's variable ordering), and
-/// for each such variable the column of the standalone chain constraint's
-/// solution rows that carries its value.
+/// The cache key of a run of skeleton markers: their clause texts joined
+/// with `" and "`.
+fn chain_key(markers: &[idl::SkeletonRef]) -> SkeletonKey {
+    markers
+        .iter()
+        .map(idl::SkeletonRef::clause)
+        .collect::<Vec<_>>()
+        .join(" and ")
+}
+
+/// The seeding plan of one skeleton chain, precomputed once: the cache
+/// key, the constraint-side variables the chain binds (deduplicated in
+/// first-occurrence order — exactly the seed prefix of the constraint's
+/// variable ordering), and for each such variable the column of the
+/// standalone chain constraint's solution rows that carries its value.
 struct ChainInfo {
     key: SkeletonKey,
     seed_vars: Vec<VarId>,
     columns: Vec<usize>,
 }
 
-fn chain_info(kind: IdiomKind) -> Option<&'static ChainInfo> {
+impl ChainInfo {
+    /// The plan of `markers` (a leading run of `c.skeletons`), or `None`
+    /// when the library ships no standalone for that chain.
+    fn of(c: &CompiledConstraint, markers: &[idl::SkeletonRef]) -> Option<ChainInfo> {
+        let key = chain_key(markers);
+        let standalone = skeleton_constraints().get(&key)?;
+        let mut seed_vars: Vec<VarId> = Vec::new();
+        for &v in markers.iter().flat_map(|s| &s.vars) {
+            if !seed_vars.contains(&v) {
+                seed_vars.push(v);
+            }
+        }
+        // The standalone reuses the constraint's flattened variable names
+        // (the clauses are reconstructed with the same renames/rebase),
+        // so columns are resolved by name.
+        let columns: Vec<usize> = seed_vars
+            .iter()
+            .map(|&v| {
+                let name = c.var_name(v);
+                standalone
+                    .variables
+                    .iter()
+                    .position(|&w| standalone.var_name(w) == name)
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "skeleton chain {key:?}: variable {name:?} missing from the standalone"
+                        )
+                    })
+            })
+            .collect();
+        assert_eq!(
+            standalone.variables.len(),
+            seed_vars.len(),
+            "skeleton chain {key:?}: standalone variables must align with the chain markers"
+        );
+        Some(ChainInfo {
+            key,
+            seed_vars,
+            columns,
+        })
+    }
+
+    /// Solves seeded from this chain's cached rows. The seeded search
+    /// enumerates exactly the unseeded solution set (the solver returns
+    /// both in canonical order, so the outcomes are byte-identical) *when
+    /// everything completes*; any truncation — of the chain solve or of
+    /// the seeded search itself — falls back to the `unseeded` search so
+    /// limit semantics stay exactly as without the cache, keeping the
+    /// seeded attempt's steps in the bill (the work was done).
+    fn solve<T: Billed>(
+        &self,
+        cache: &mut SkeletonCache,
+        solver: &Solver,
+        max_steps: u64,
+        seeded: impl FnOnce(&[Vec<(VarId, ValueId)>]) -> T,
+        unseeded: impl FnOnce() -> T,
+    ) -> T {
+        let Some(rows) = cache.get(solver, &self.key, max_steps) else {
+            return unseeded();
+        };
+        let seeds: Vec<Vec<(VarId, ValueId)>> = rows
+            .iter()
+            .map(|row| {
+                self.seed_vars
+                    .iter()
+                    .copied()
+                    .zip(self.columns.iter().map(|&col| row[col]))
+                    .collect()
+            })
+            .collect();
+        let mut attempt = seeded(&seeds);
+        if attempt.complete() {
+            return attempt;
+        }
+        let mut fallback = unseeded();
+        *fallback.steps() += *attempt.steps();
+        fallback
+    }
+}
+
+/// The completeness flag and step bill of the solver's two outcome
+/// shapes (rendered solutions for idioms, bulk rows for chains).
+trait Billed {
+    fn complete(&self) -> bool;
+    fn steps(&mut self) -> &mut u64;
+}
+
+impl Billed for SolveOutcome {
+    fn complete(&self) -> bool {
+        self.complete
+    }
+    fn steps(&mut self) -> &mut u64 {
+        &mut self.steps
+    }
+}
+
+impl Billed for RowsOutcome {
+    fn complete(&self) -> bool {
+        self.complete
+    }
+    fn steps(&mut self) -> &mut u64 {
+        &mut self.steps
+    }
+}
+
+/// The skeleton chain every idiom inherits (all of them open with a loop
+/// shape), computed once process-wide.
+fn chain_info(kind: IdiomKind) -> &'static ChainInfo {
     static CACHE: OnceLock<BTreeMap<IdiomKind, ChainInfo>> = OnceLock::new();
     let map = CACHE.get_or_init(|| {
-        let mut map = BTreeMap::new();
-        for kind in IdiomKind::ALL {
-            let c = compiled(kind);
-            if c.skeletons.is_empty() {
-                continue;
-            }
-            let key: SkeletonKey = c
-                .skeletons
-                .iter()
-                .map(idl::SkeletonRef::clause)
-                .collect::<Vec<_>>()
-                .join(" and ");
-            let mut seed_vars: Vec<VarId> = Vec::new();
-            for s in &c.skeletons {
-                for &v in &s.vars {
-                    if !seed_vars.contains(&v) {
-                        seed_vars.push(v);
-                    }
-                }
-            }
-            // The standalone chain constraint reuses the idiom's flattened
-            // variable names (the clauses are reconstructed with the same
-            // renames/rebase), so columns are resolved by name.
-            let standalone = &skeleton_constraints()[&key];
-            let columns: Vec<usize> = seed_vars
-                .iter()
-                .map(|&v| {
-                    let name = c.var_name(v);
-                    standalone
-                        .variables
-                        .iter()
-                        .position(|&w| standalone.var_name(w) == name)
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "skeleton chain of {kind:?}: variable {name:?} \
-                                 missing from standalone chain {key:?}"
-                            )
-                        })
-                })
-                .collect();
-            assert_eq!(
-                standalone.variables.len(),
-                seed_vars.len(),
-                "skeleton chain of {kind:?}: standalone variables must align \
-                 with the chain markers"
-            );
-            map.insert(
-                kind,
-                ChainInfo {
-                    key,
-                    seed_vars,
-                    columns,
-                },
-            );
-        }
-        map
+        IdiomKind::ALL
+            .iter()
+            .map(|&k| {
+                let c = compiled(k);
+                let info = ChainInfo::of(c, &c.skeletons)
+                    .unwrap_or_else(|| panic!("{k:?} inherits a loop skeleton chain"));
+                (k, info)
+            })
+            .collect()
     });
-    map.get(&kind)
+    &map[&kind]
 }
 
 /// The standalone-compiled skeleton chains the idiom library shares,
@@ -234,21 +307,15 @@ fn chain_info(kind: IdiomKind) -> Option<&'static ChainInfo> {
 pub fn skeleton_constraints() -> &'static BTreeMap<SkeletonKey, CompiledConstraint> {
     static CACHE: OnceLock<BTreeMap<SkeletonKey, CompiledConstraint>> = OnceLock::new();
     CACHE.get_or_init(|| {
+        let standalone = |key: &SkeletonKey| {
+            let src = format!("{BUILDING_BLOCKS_IDL}\nConstraint __Skeleton ( {key} ) End");
+            let lib = idl::parse_library(&src).expect("skeleton chain parses");
+            idl::compile(&lib, "__Skeleton").expect("skeleton chain compiles")
+        };
         let mut map = BTreeMap::new();
         for kind in IdiomKind::ALL {
-            let c = compiled(kind);
-            if c.skeletons.is_empty() {
-                continue;
-            }
-            let clauses: Vec<String> = c.skeletons.iter().map(idl::SkeletonRef::clause).collect();
-            let key: SkeletonKey = clauses.join(" and ");
-            if map.contains_key(&key) {
-                continue;
-            }
-            let src = format!("{BUILDING_BLOCKS_IDL}\nConstraint __Skeleton ( {key} ) End");
-            let lib = idl::parse_library(&src).expect("skeleton wrapper parses");
-            let sc = idl::compile(&lib, "__Skeleton").expect("skeleton wrapper compiles");
-            map.insert(key, sc);
+            map.entry(chain_key(&compiled(kind).skeletons))
+                .or_insert_with_key(standalone);
         }
         // Also ship every composite chain's leading clause as its own
         // standalone (e.g. `inherits ForNest(N=3)` from the GEMM chain):
@@ -262,10 +329,7 @@ pub fn skeleton_constraints() -> &'static BTreeMap<SkeletonKey, CompiledConstrai
             .filter(|k| !map.contains_key(k))
             .collect();
         for key in prefixes {
-            let src = format!("{BUILDING_BLOCKS_IDL}\nConstraint __Skeleton ( {key} ) End");
-            let lib = idl::parse_library(&src).expect("skeleton prefix parses");
-            let sc = idl::compile(&lib, "__Skeleton").expect("skeleton prefix compiles");
-            map.insert(key, sc);
+            map.insert(key.clone(), standalone(&key));
         }
         map
     })
@@ -284,6 +348,7 @@ pub fn skeleton_key_count() -> usize {
 /// or `None` when the skeleton solve itself was truncated (consumers
 /// then fall back to the unseeded search, preserving the exact PR-2
 /// budget semantics).
+#[derive(Default)]
 struct SkeletonCache {
     solved: HashMap<SkeletonKey, Option<Vec<Vec<ValueId>>>>,
     /// Steps spent solving skeletons (accounted once per function,
@@ -292,14 +357,17 @@ struct SkeletonCache {
 }
 
 impl SkeletonCache {
-    fn new() -> SkeletonCache {
-        SkeletonCache {
-            solved: HashMap::new(),
-            steps: 0,
-        }
-    }
-
     /// Solutions for `key` on `solver`'s function, solving on first use.
+    ///
+    /// Pure nest chains are synthesized ([`SkeletonCache::nest_rows`]).
+    /// Any other chain is searched, a composite one seeded from its
+    /// leading marker's plain chain when the library also ships that
+    /// prefix as its own key (e.g. `For + LoopAccumulator` seeds from the
+    /// cached `For` rows instead of re-proving the loop shape). Sound and
+    /// exact for the same reason idiom seeding is: every composite
+    /// solution satisfies the leading clause, so its projection onto the
+    /// clause's variables — an order prefix, by the chain ordering seed —
+    /// appears among the prefix chain's complete rows.
     fn get(
         &mut self,
         solver: &Solver,
@@ -307,69 +375,35 @@ impl SkeletonCache {
         max_steps: u64,
     ) -> Option<&Vec<Vec<ValueId>>> {
         if !self.solved.contains_key(key) {
-            if let Some(rows) = self.nest_rows(solver, key, max_steps) {
-                self.solved.insert(key.clone(), Some(rows));
-            }
-        }
-        if !self.solved.contains_key(key) {
-            let c = &skeleton_constraints()[key];
-            let opts = SolveOptions {
-                // No solution cap: the row count is bounded by the
-                // step budget, and a capped skeleton would poison
-                // every consumer.
-                max_solutions: usize::MAX,
-                max_steps,
+            let rows = match self.nest_rows(solver, key, max_steps) {
+                Some(rows) => Some(rows),
+                None => {
+                    let c = &skeleton_constraints()[key];
+                    let opts = SolveOptions {
+                        // No solution cap: the row count is bounded by the
+                        // step budget, and a capped skeleton would poison
+                        // every consumer.
+                        max_solutions: usize::MAX,
+                        max_steps,
+                    };
+                    let unseeded = || solver.solve_rows(c, &c.variables, &opts);
+                    let out = match chain_prefix(key) {
+                        Some(prefix) => prefix.solve(
+                            self,
+                            solver,
+                            max_steps,
+                            |seeds| solver.solve_seeded_rows(c, seeds, &c.variables, &opts),
+                            unseeded,
+                        ),
+                        None => unseeded(),
+                    };
+                    self.steps += out.steps;
+                    out.complete.then_some(out.rows)
+                }
             };
-            let out = self.solve_chain(solver, key, c, &opts);
-            self.steps += out.steps;
-            let rows = out.complete.then_some(out.rows);
             self.solved.insert(key.clone(), rows);
         }
         self.solved[key].as_ref()
-    }
-
-    /// Solves one standalone chain constraint, seeding a composite chain
-    /// from its leading marker's plain chain when the library also ships
-    /// that prefix as its own key (e.g. `For + LoopAccumulator` seeds
-    /// from the cached `For` rows instead of re-proving the loop shape).
-    /// Sound and exact for the same reason idiom seeding is: every
-    /// composite solution satisfies the leading clause, so its projection
-    /// onto the clause's variables — an order prefix, by the chain
-    /// ordering seed — appears among the prefix chain's complete rows.
-    fn solve_chain(
-        &mut self,
-        solver: &Solver,
-        key: &SkeletonKey,
-        c: &CompiledConstraint,
-        opts: &SolveOptions,
-    ) -> RowsOutcome {
-        if let Some(prefix) = chain_prefix(key) {
-            let seeds: Option<Vec<Vec<(VarId, ValueId)>>> =
-                self.get(solver, &prefix.key, opts.max_steps).map(|rows| {
-                    rows.iter()
-                        .map(|row| {
-                            prefix
-                                .seed_vars
-                                .iter()
-                                .copied()
-                                .zip(prefix.columns.iter().map(|&col| row[col]))
-                                .collect()
-                        })
-                        .collect()
-                });
-            if let Some(seeds) = seeds {
-                let seeded = solver.solve_seeded_rows(c, &seeds, &c.variables, opts);
-                if seeded.complete {
-                    return seeded;
-                }
-                // Truncated: rerun unseeded (same budget semantics as the
-                // cache-free path), billing the seeded attempt's steps.
-                let mut fallback = solver.solve_rows(c, &c.variables, opts);
-                fallback.steps += seeded.steps;
-                return fallback;
-            }
-        }
-        solver.solve_rows(c, &c.variables, opts)
     }
 
     /// Synthesizes the rows of a pure loop-nest chain
@@ -512,41 +546,7 @@ fn chain_prefix(key: &SkeletonKey) -> Option<&'static ChainInfo> {
             .iter()
             .map(|(key, c)| {
                 let info = (c.skeletons.len() >= 2)
-                    .then(|| {
-                        let first = &c.skeletons[0];
-                        let prefix_key: SkeletonKey = first.clause();
-                        let standalone = skeleton_constraints().get(&prefix_key)?;
-                        let mut seed_vars: Vec<VarId> = Vec::new();
-                        for &v in &first.vars {
-                            if !seed_vars.contains(&v) {
-                                seed_vars.push(v);
-                            }
-                        }
-                        // Same name-resolution as `chain_info`: the prefix
-                        // standalone reuses the clause's flattened names.
-                        let columns: Vec<usize> = seed_vars
-                            .iter()
-                            .map(|&v| {
-                                let name = c.var_name(v);
-                                standalone
-                                    .variables
-                                    .iter()
-                                    .position(|&w| standalone.var_name(w) == name)
-                                    .unwrap_or_else(|| {
-                                        panic!(
-                                            "chain prefix {prefix_key:?}: variable \
-                                             {name:?} missing from the standalone"
-                                        )
-                                    })
-                            })
-                            .collect();
-                        assert_eq!(standalone.variables.len(), seed_vars.len());
-                        Some(ChainInfo {
-                            key: prefix_key,
-                            seed_vars,
-                            columns,
-                        })
-                    })
+                    .then(|| ChainInfo::of(c, &c.skeletons[..1]))
                     .flatten();
                 (key.clone(), info)
             })
@@ -633,46 +633,27 @@ impl IdiomInstance {
     }
 }
 
+/// Per-idiom cap on raw solver solutions.
+pub const MAX_SOLUTIONS: usize = 128;
+
 /// Detection limits.
 #[derive(Debug, Clone)]
 pub struct DetectOptions {
-    /// Per-idiom cap on raw solver solutions.
-    pub max_solutions: usize,
     /// Solver step budget per idiom per function.
     pub max_steps: u64,
-    /// Suppress lower-priority matches contained in higher-priority ones
-    /// (paper reports the most specific idiom per region).
-    pub suppress_contained: bool,
-    /// Solve the shared loop-skeleton chains once per function and seed
-    /// every idiom's search from the cached solutions. `false` selects
-    /// the compatibility slow path (each idiom re-enumerates its loop
-    /// headers) — detection output is identical either way, which the
-    /// differential tests pin.
-    pub skeleton_prepass: bool,
-    /// Fingerprint each function once and skip every idiom whose
-    /// requirement signature ([`analysis::IdiomRequirements`]) the
-    /// fingerprint cannot satisfy — the pair is proven matchless with
-    /// zero solver steps. `false` selects the compatibility path; the
-    /// instance output is identical either way (requirements are
-    /// *necessary* conditions), which the differential tests pin.
-    pub fingerprint_prepass: bool,
 }
 
 impl Default for DetectOptions {
     fn default() -> DetectOptions {
         DetectOptions {
-            max_solutions: 128,
             max_steps: 20_000_000,
-            suppress_contained: true,
-            skeleton_prepass: true,
-            fingerprint_prepass: true,
         }
     }
 }
 
 /// The outcome of running the full idiom library over one function.
 ///
-/// Detection that hits a solver limit (`max_solutions`/`max_steps`) may
+/// Detection that hits a solver limit ([`MAX_SOLUTIONS`]/`max_steps`) may
 /// silently miss instances; `complete` surfaces that truncation so
 /// callers can widen the budget or flag the result, instead of treating
 /// an undercount as the true population.
@@ -717,13 +698,15 @@ pub fn detect(f: &Function) -> Vec<IdiomInstance> {
 }
 
 /// [`detect`] with explicit limits, reporting completeness and cost.
-#[must_use]
-pub fn detect_with(f: &Function, opts: &DetectOptions) -> Detection {
-    detect_kinds_with(f, &IdiomKind::ALL, opts)
-}
-
-/// [`detect_with`] restricted to a subset of idiom kinds (the per-idiom
-/// benchmarks time each kind in isolation through this).
+///
+/// Per function: the fingerprint prepass skips every idiom whose
+/// requirement signature ([`analysis::IdiomRequirements`]) the function
+/// cannot satisfy — proven matchless with zero solver steps — and every
+/// remaining idiom's search is seeded from the per-function cache of
+/// solved loop-skeleton chains. The instances are exactly those of the
+/// unseeded, unpruned search (requirements are necessary conditions and
+/// seeding enumerates the same solution set), which the differential
+/// tests pin against a reference detector.
 ///
 /// Budget accounting: each kind's search gets `opts.max_steps`; the
 /// skeleton prepass spends at most `opts.max_steps` per distinct
@@ -733,37 +716,39 @@ pub fn detect_with(f: &Function, opts: &DetectOptions) -> Detection {
 /// detection pass over `k` kinds is therefore bounded by
 /// `(2·k + skeleton_key_count()) · max_steps` total steps.
 #[must_use]
-pub fn detect_kinds_with(f: &Function, kinds: &[IdiomKind], opts: &DetectOptions) -> Detection {
+pub fn detect_with(f: &Function, opts: &DetectOptions) -> Detection {
     let solver = Solver::new(f);
     let solve_opts = SolveOptions {
-        max_solutions: opts.max_solutions,
+        max_solutions: MAX_SOLUTIONS,
         max_steps: opts.max_steps,
     };
     // The solver already computed every analysis detection needs.
     let an = solver.analyses();
     let affine = AffineMap::new(f, an);
-    let fingerprint = opts
-        .fingerprint_prepass
-        .then(|| analysis::FunctionFingerprint::with_loops(f, &an.loops));
-    let mut skeletons = SkeletonCache::new();
+    let fingerprint = analysis::FunctionFingerprint::with_loops(f, &an.loops);
+    let mut skeletons = SkeletonCache::default();
     let mut out: Vec<IdiomInstance> = Vec::new();
     let mut complete = true;
     let mut steps = 0u64;
     let mut steps_by_kind = BTreeMap::new();
     let mut pruned_pairs = 0u64;
-    for &kind in kinds {
-        if let Some(fp) = &fingerprint {
-            if !requirements(kind).admitted_by(fp) {
-                // Proven matchless: a necessary condition of the idiom is
-                // absent from the function. Zero solver steps, and the
-                // search stays complete — "no instances" is exact.
-                pruned_pairs += 1;
-                steps_by_kind.insert(kind, 0);
-                continue;
-            }
+    for kind in IdiomKind::ALL {
+        if !requirements(kind).admitted_by(&fingerprint) {
+            // Proven matchless: a necessary condition of the idiom is
+            // absent from the function. Zero solver steps, and the
+            // search stays complete — "no instances" is exact.
+            pruned_pairs += 1;
+            steps_by_kind.insert(kind, 0);
+            continue;
         }
         let c = compiled(kind);
-        let res = solve_idiom(&solver, c, kind, opts, &solve_opts, &mut skeletons);
+        let res = chain_info(kind).solve(
+            &mut skeletons,
+            &solver,
+            opts.max_steps,
+            |seeds| solver.solve_seeded_outcome(c, seeds, &solve_opts),
+            || solver.solve_outcome(c, &solve_opts),
+        );
         complete &= res.complete;
         steps += res.steps;
         steps_by_kind.insert(kind, res.steps);
@@ -775,11 +760,9 @@ pub fn detect_kinds_with(f: &Function, kinds: &[IdiomKind], opts: &DetectOptions
             if seen_anchor.contains(&inst.anchor) {
                 continue; // operand-order / transposition symmetry
             }
-            if opts.suppress_contained
-                && out.iter().any(|prev| {
-                    prev.kind != kind && inst.blocks.iter().all(|b| prev.blocks.contains(b))
-                })
-            {
+            if out.iter().any(|prev| {
+                prev.kind != kind && inst.blocks.iter().all(|b| prev.blocks.contains(b))
+            }) {
                 continue; // e.g. the dot-product reduction inside a GEMM
             }
             seen_anchor.push(inst.anchor);
@@ -809,66 +792,14 @@ pub fn requirements(kind: IdiomKind) -> &'static analysis::IdiomRequirements {
     &map[&kind]
 }
 
-/// Solves one idiom, seeding from the per-function skeleton cache when
-/// possible.
-///
-/// The seeded search enumerates exactly the unseeded solution set (the
-/// solver returns both in canonical order, so the outcomes are
-/// byte-identical) *when everything completes*; any truncation — of the
-/// skeleton solve or of the seeded search itself — falls back to the
-/// plain search so limit semantics stay exactly as without the cache.
-fn solve_idiom(
-    solver: &Solver,
-    c: &CompiledConstraint,
-    kind: IdiomKind,
-    opts: &DetectOptions,
-    solve_opts: &SolveOptions,
-    skeletons: &mut SkeletonCache,
-) -> SolveOutcome {
-    if opts.skeleton_prepass {
-        if let Some(chain) = chain_info(kind) {
-            if let Some(rows) = skeletons.get(solver, &chain.key, opts.max_steps) {
-                let seeds: Vec<Vec<(VarId, ValueId)>> = rows
-                    .iter()
-                    .map(|row| {
-                        chain
-                            .seed_vars
-                            .iter()
-                            .copied()
-                            .zip(chain.columns.iter().map(|&col| row[col]))
-                            .collect()
-                    })
-                    .collect();
-                let seeded = solver.solve_seeded_outcome(c, &seeds, solve_opts);
-                if seeded.complete {
-                    return seeded;
-                }
-                // Truncated: rerun unseeded so limit behaviour matches
-                // the cache-free path exactly, but keep the seeded
-                // attempt's steps in the bill — the work was done.
-                let mut fallback = solver.solve_outcome(c, solve_opts);
-                fallback.steps += seeded.steps;
-                return fallback;
-            }
-        }
-    }
-    solver.solve_outcome(c, solve_opts)
-}
-
 /// Runs detection over every function of `m` in parallel and returns the
 /// instances in function order — byte-identical to running [`detect`] on
 /// each function serially, because per-function detection is independent
 /// and results are stitched back in module order.
 #[must_use]
 pub fn detect_module(m: &Module) -> Vec<IdiomInstance> {
-    detect_module_with(m, &DetectOptions::default())
-}
-
-/// [`detect_module`] with explicit limits.
-#[must_use]
-pub fn detect_module_with(m: &Module, opts: &DetectOptions) -> Vec<IdiomInstance> {
     let fs: Vec<&Function> = m.functions.iter().collect();
-    detect_functions(&fs, opts)
+    detect_functions(&fs, &DetectOptions::default())
         .into_iter()
         .flat_map(|d| d.instances)
         .collect()

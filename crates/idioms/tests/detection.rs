@@ -296,13 +296,7 @@ fn detect_with_surfaces_truncation() {
         "the loop-skeleton prepass runs by default"
     );
     // A starved budget must be reported, not silently undercounted.
-    let starved = idioms::detect_with(
-        f,
-        &idioms::DetectOptions {
-            max_steps: 10,
-            ..idioms::DetectOptions::default()
-        },
-    );
+    let starved = idioms::detect_with(f, &idioms::DetectOptions { max_steps: 10 });
     assert!(
         !starved.complete,
         "step-starved detection reports truncation"
@@ -311,7 +305,7 @@ fn detect_with_surfaces_truncation() {
 }
 
 #[test]
-fn fingerprint_prepass_prunes_obvious_non_matches_with_zero_steps() {
+fn fingerprint_pruning_skips_obvious_non_matches_with_zero_steps() {
     // Loop-free: every idiom requires at least one loop, so all six
     // idiom×function pairs are pruned before the solver ever runs.
     let m = minicc::compile(
@@ -351,16 +345,28 @@ fn fingerprint_prepass_prunes_obvious_non_matches_with_zero_steps() {
         "store/depth requirements prune most kinds, got {}",
         d.pruned_pairs
     );
-    let disabled = idioms::detect_with(
-        f,
-        &idioms::DetectOptions {
-            fingerprint_prepass: false,
-            ..idioms::DetectOptions::default()
-        },
-    );
-    assert_eq!(disabled.pruned_pairs, 0);
-    assert_eq!(
-        d.instances, disabled.instances,
-        "pruning never loses matches"
-    );
+    // Pruning never loses matches: the pruned kinds are exactly those
+    // the fingerprint cannot admit, and the unseeded, unpruned search
+    // finds no solution for any of them.
+    let fingerprint = analysis::FunctionFingerprint::of(f);
+    let solver = solver::Solver::new(f);
+    let opts = solver::SolveOptions {
+        max_solutions: idioms::MAX_SOLUTIONS,
+        max_steps: idioms::DetectOptions::default().max_steps,
+    };
+    let mut pruned = 0;
+    for kind in IdiomKind::ALL {
+        if idioms::requirements(kind).admitted_by(&fingerprint) {
+            continue;
+        }
+        pruned += 1;
+        assert_eq!(d.steps_by_kind[&kind], 0, "{kind:?} pruned at zero cost");
+        let reference = solver.solve_outcome(idioms::compiled(kind), &opts);
+        assert!(reference.complete);
+        assert!(
+            reference.solutions.is_empty(),
+            "{kind:?} pruned but the unpruned search matches"
+        );
+    }
+    assert_eq!(d.pruned_pairs, pruned);
 }

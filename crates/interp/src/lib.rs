@@ -31,7 +31,7 @@ mod profile;
 mod vm;
 
 pub use bytecode::{compile_module, CompiledModule};
-pub use machine::{ExecError, HostFn, HostRegistry, Machine, Value};
+pub use machine::{ExecError, HostFn, HostRegistry, Machine, Value, MAX_CALL_DEPTH};
 pub use memory::{Allocation, Memory, OutWindow, ReadView};
 pub use profile::Profile;
 pub use vm::Vm;

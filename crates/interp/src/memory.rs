@@ -202,15 +202,6 @@ impl Memory {
         addr
     }
 
-    /// Allocates and fills an `i64` array; returns its address.
-    pub fn alloc_i64_slice(&mut self, data: &[i64]) -> u64 {
-        let addr = self.alloc(&Type::I64, data.len());
-        for (i, &v) in data.iter().enumerate() {
-            self.store_i64(addr + 8 * i as u64, v).expect("in bounds");
-        }
-        addr
-    }
-
     /// Reads back an `f64` array.
     pub fn read_f64_slice(&self, addr: u64, n: usize) -> Vec<f64> {
         (0..n)
@@ -229,13 +220,6 @@ impl Memory {
     pub fn read_i32_slice(&self, addr: u64, n: usize) -> Vec<i64> {
         (0..n)
             .map(|i| self.load_i32(addr + 4 * i as u64).expect("in bounds"))
-            .collect()
-    }
-
-    /// Reads back an `i64` array.
-    pub fn read_i64_slice(&self, addr: u64, n: usize) -> Vec<i64> {
-        (0..n)
-            .map(|i| self.load_i64(addr + 8 * i as u64).expect("in bounds"))
             .collect()
     }
 

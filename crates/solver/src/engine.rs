@@ -391,53 +391,6 @@ impl<'f> Solver<'f> {
         cx.finish_dense()
     }
 
-    /// Solves `tree` starting from a partial assignment (used for `collect`
-    /// sub-searches, where context variables are pre-bound). `symbols` is
-    /// the owning constraint's table (`tree` must index into it).
-    #[must_use]
-    pub fn solve_with(
-        &self,
-        tree: &CTree,
-        symbols: &SymbolTable,
-        initial: Assignment,
-        opts: &SolveOptions,
-    ) -> Vec<Solution> {
-        self.solve_with_outcome(tree, symbols, initial, opts)
-            .solutions
-    }
-
-    /// [`Solver::solve_with`], also reporting completeness and steps.
-    #[must_use]
-    pub fn solve_with_outcome(
-        &self,
-        tree: &CTree,
-        symbols: &SymbolTable,
-        initial: Assignment,
-        opts: &SolveOptions,
-    ) -> SolveOutcome {
-        render_outcome(symbols, self.solve_with_dense(tree, symbols, initial, opts))
-    }
-
-    /// [`Solver::solve_with_outcome`] keeping solutions dense — the
-    /// internal form `run_bindings` consumes for `collect` sub-searches
-    /// (no string round-trip).
-    fn solve_with_dense(
-        &self,
-        tree: &CTree,
-        symbols: &SymbolTable,
-        initial: Assignment,
-        opts: &SolveOptions,
-    ) -> DenseOutcome {
-        let vars: Vec<VarId> = tree
-            .variables()
-            .into_iter()
-            .filter(|&v| initial.get(v).is_none())
-            .collect();
-        let order = idl::order_variables(tree, &vars);
-        let idx = tree.index();
-        self.run_search(tree, &idx, symbols, initial, order, opts)
-    }
-
     fn run_search(
         &self,
         tree: &CTree,

@@ -3,13 +3,13 @@
 //! value, every byte of final memory, and the step counter — on every
 //! bundled benchmark under multiple input seeds, on randomized progen
 //! programs, and on error paths (same `ExecError` message at the same
-//! step count, step-limit exhaustion included). Every module compared
+//! step count, step-limit and call-depth exhaustion included). Every module compared
 //! here must also pass IR verification function by function, since
 //! that is what makes `compile_module` lower it.
 
 use idiomatch::benchsuite;
 use idiomatch::hetero::hosts::register_all;
-use idiomatch::interp::{compile_module, Machine, Memory, Value, Vm};
+use idiomatch::interp::{compile_module, Machine, Memory, Value, Vm, MAX_CALL_DEPTH};
 use proptest::prelude::*;
 
 /// Everything one execution produces, in comparable form.
@@ -185,6 +185,28 @@ fn error_paths_agree_bitwise() {
     let m = idiomatch::minicc::compile("int id(int x) { return x; }", "id").unwrap();
     let t = assert_parity(&m, "nope", &|_, _| vec![], 0, None, "unknown entry");
     assert!(t.result.is_err());
+    // Unbounded self-recursion: the call-depth limit, not a native stack
+    // overflow, ends the run at the same step on both executors.
+    let m = ssair::parser::parse_module(
+        "define i64 @f(i64 %a) {\nentry:\n  %r = call i64 @f(i64 %a)\n  ret i64 %r\n}\n",
+    )
+    .unwrap();
+    assert_verified(&m, "self-recursion");
+    let t = assert_parity(
+        &m,
+        "f",
+        &|_, _| vec![Value::I(1)],
+        0,
+        None,
+        "self-recursion",
+    );
+    assert_eq!(
+        t.result,
+        Err(format!(
+            "execution error: call depth limit of {MAX_CALL_DEPTH} exceeded calling @f"
+        ))
+    );
+    assert_eq!(t.steps, MAX_CALL_DEPTH as u64 + 1);
 }
 
 /// Step-limit exhaustion is bitwise too: sweep budgets across a loop so
