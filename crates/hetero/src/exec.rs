@@ -8,7 +8,7 @@
 //!
 //! | certificate               | executor                                     |
 //! |---------------------------|----------------------------------------------|
-//! | `independent_iterations`  | rows/output-tiles partitioned across workers, each writing a disjoint [`OutWindow`](interp::OutWindow) |
+//! | `independent_iterations`  | rows partitioned across workers, each writing a disjoint `split_at_mut`/`chunks_mut` slice of the output window that [`Memory::split_out`] carves out |
 //! | `reduction_only`          | per-worker partial accumulators, combined on the launching thread in ascending worker order |
 //! | `serial`                  | sequential host; [`ParallelCert`] makes it unrepresentable at parallel entry points |
 //!
@@ -21,11 +21,17 @@
 //! accumulation chain and therefore degenerate to owner-computes — the
 //! sequential executor — rather than trade bitwise equality for a
 //! reassociated combine.
+//!
+//! **One check per launch.** `gemm_f64` and `csrmv_f64` validate their
+//! operands on the launching thread before any worker starts (see
+//! [`crate::hosts`]); workers then run the same numeric core as the
+//! serial hosts over already-checked byte windows. Only `csrmv`'s `x`
+//! read, whose offset is data, is checked per nonzero. Reads go through
+//! an [`interp::ReadView`], which refuses any byte of the output window,
+//! so an input that aliases the output still fails with an
+//! "independence certificate" error instead of racing.
 
-use crate::hosts::{
-    beta_old, csrmv_row, csrmv_serial, elem_addr, gemm_acc, gemm_addr, gemm_serial, parse_csrmv,
-    parse_gemm,
-};
+use crate::hosts::{parse_csrmv, parse_gemm, Csr, Gemm};
 use idioms::ParallelSafety;
 use interp::{compile_module, CompiledModule, HostFn, HostRegistry, Memory, Value, Vm};
 use ssair::{Function, Module};
@@ -161,207 +167,187 @@ fn run_inline(
     r
 }
 
+/// [`chunk_range`] over the rows `0..rows`.
+fn row_chunks(rows: usize, workers: usize) -> Vec<(usize, usize)> {
+    chunk_range(0, rows as i64, workers)
+        .into_iter()
+        .map(|(lo, hi)| (lo as usize, hi as usize))
+        .collect()
+}
+
+/// Splits an output window into one disjoint piece per chunk of rows,
+/// `row` bytes per row; the last piece takes whatever remains.
+fn split_rows<'w>(
+    mut window: &'w mut [u8],
+    parts: &[(usize, usize)],
+    row: usize,
+) -> Vec<&'w mut [u8]> {
+    let mut pieces = Vec::with_capacity(parts.len());
+    for &(lo, hi) in parts {
+        let (head, tail) = window.split_at_mut(((hi - lo) * row).min(window.len()));
+        pieces.push(head);
+        window = tail;
+    }
+    pieces
+}
+
+/// Joins every worker of a launch; the first failing worker in ascending
+/// order (an error or a panic) fails the launch.
+fn join_all<T>(
+    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<T, String>>>,
+    kernel: &str,
+) -> Result<Vec<T>, String> {
+    let results: Vec<Result<T, String>> = handles
+        .into_iter()
+        .map(|h| {
+            h.join()
+                .unwrap_or_else(|_| Err(format!("parallel {kernel} worker panicked")))
+        })
+        .collect();
+    results.into_iter().collect()
+}
+
 /// Parallel `gemm_f64`: output rows (`i0`) are partitioned across
 /// workers. With an independence certificate and an `i0`-major `C`
-/// layout the workers write disjoint in-place [`interp::OutWindow`]s;
-/// otherwise each worker fills a partial buffer and the launching thread
-/// combines them in ascending worker order (identical to the serial
-/// store order, hence bitwise identical).
+/// layout the workers write disjoint in-place slices of the output
+/// window; otherwise each worker fills a partial buffer and the launching
+/// thread combines them in ascending worker order (identical to the
+/// serial store order, hence bitwise identical). Operands are checked
+/// once, on the launching thread, before any worker starts.
 pub fn gemm_parallel(
     cert: ParallelCert,
     workers: usize,
     mem: &mut Memory,
     args: &[Value],
 ) -> Result<Value, String> {
-    let g = parse_gemm(args)?;
-    if g.m <= 0 || g.n <= 0 {
-        return gemm_serial(mem, args);
-    }
-    let parts = chunk_range(0, g.m, workers);
+    let ga = parse_gemm(args)?;
+    let Some(g) = Gemm::check(&mem.view(), &ga)? else {
+        return Ok(Value::I(0));
+    };
+    let parts = row_chunks(g.m, workers);
     if parts.len() <= 1 {
-        return gemm_serial(mem, args);
+        g.serial(mem)?;
+        return Ok(Value::I(0));
     }
-
-    let windowed = cert == ParallelCert::Independent && g.cr == 0 && g.sc > 0 && g.sc >= g.n;
-    if windowed {
-        // C rows are i0-major and non-overlapping: carve [c, addr(m-1, n-1)]
-        // out of memory and split it at each chunk's first row.
-        let last = (g.m - 1)
-            .checked_mul(g.sc)
-            .and_then(|t| t.checked_add(g.n))
-            .ok_or_else(|| format!("index overflow: stride {} over {} rows", g.sc, g.m))?;
-        let end = elem_addr(g.c, last, 8)?;
-        let (view, window) = mem.split_out(g.c, (end - g.c) as usize)?;
-        let mut wins = Vec::with_capacity(parts.len());
-        let mut rest = window;
-        for &(lo, _) in parts.iter().skip(1) {
-            let (head, tail) = rest.split_at(gemm_addr(g.c, lo, 0, g.sc, 0)?)?;
-            wins.push(head);
-            rest = tail;
-        }
-        wins.push(rest);
-
-        let results: Vec<Result<(), String>> = std::thread::scope(|s| {
-            let view = &view;
-            let g = &g;
-            let handles: Vec<_> = parts
-                .iter()
-                .copied()
-                .zip(wins)
-                .map(|((lo, hi), mut win)| {
-                    s.spawn(move || {
-                        for i0 in lo..hi {
-                            for i1 in 0..g.n {
-                                let acc = gemm_acc(g, view, i0, i1)?;
-                                let ca = gemm_addr(g.c, i0, i1, g.sc, g.cr)?;
-                                let cur = win.load_f64(ca)?;
-                                win.store_f64(ca, acc + beta_old(cur, g.beta))?;
-                            }
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err("parallel gemm worker panicked".into()))
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
+    // Rows of C are i0-major and do not overlap (so `g.c.row > 0`).
+    let windowed = cert == ParallelCert::Independent && ga.cr == 0 && ga.sc >= ga.n;
+    if windowed && gemm_windowed(&g, &parts, mem)? {
         return Ok(Value::I(0));
     }
 
     // Partial-accumulator path: the compute phase only reads memory; the
     // launching thread then replays the serial store order.
-    let shared = &*mem;
-    let results: Vec<Result<Vec<f64>, String>> = std::thread::scope(|s| {
-        let g = &g;
-        let handles: Vec<_> = parts
+    let view = mem.view();
+    let partials = std::thread::scope(|s| {
+        let (g, view) = (&g, &view);
+        let handles = parts
             .iter()
             .map(|&(lo, hi)| {
                 s.spawn(move || {
-                    let mut buf = Vec::with_capacity(((hi - lo) * g.n).max(0) as usize);
-                    for i0 in lo..hi {
-                        for i1 in 0..g.n {
-                            buf.push(gemm_acc(g, shared, i0, i1)?);
-                        }
-                    }
-                    Ok(buf)
+                    (lo..hi)
+                        .flat_map(|i0| (0..g.n).map(move |i1| g.dot(view, i0, i1)))
+                        .collect()
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err("parallel gemm worker panicked".into()))
-            })
-            .collect()
-    });
-    for (&(lo, hi), r) in parts.iter().zip(results) {
-        let buf = r?;
-        let mut vals = buf.into_iter();
-        for i0 in lo..hi {
-            for i1 in 0..g.n {
-                let acc = vals.next().expect("one partial per output element");
-                let ca = gemm_addr(g.c, i0, i1, g.sc, g.cr)?;
-                let cur = mem.load_f64(ca)?;
-                mem.store_f64(ca, acc + beta_old(cur, g.beta))?;
-            }
-        }
+        join_all::<Vec<f64>>(handles, "gemm")
+    })?;
+    for (cell, acc) in g.cells().zip(partials.into_iter().flatten()) {
+        g.store(mem, cell, acc);
     }
     Ok(Value::I(0))
 }
 
+/// The in-place path of [`gemm_parallel`]: carves C's window out of
+/// memory and hands each worker its rows. Returns `false`, having written
+/// nothing, when a strided A or B spans the window without any element
+/// inside it (it cannot be read as one slice beside the window); an
+/// element inside the window is an alias and fails the launch.
+fn gemm_windowed(g: &Gemm, parts: &[(usize, usize)], mem: &mut Memory) -> Result<bool, String> {
+    let (view, window) = mem.split_out(g.c.base, g.c.len)?;
+    for (op, rows) in [(&g.a, g.m), (&g.b, g.n)] {
+        if op.len > 0 && view.bytes(op.base, op.len).is_err() {
+            for addr in op.addrs(rows, g.k) {
+                view.load_f64(addr)?;
+            }
+            return Ok(false);
+        }
+    }
+    let pieces = split_rows(window, parts, g.c.row);
+    std::thread::scope(|s| {
+        let view = &view;
+        let handles = parts
+            .iter()
+            .zip(pieces)
+            .map(|(&(lo, hi), piece)| {
+                s.spawn(move || {
+                    for (i0, row) in (lo..hi).zip(piece.chunks_mut(g.c.row)) {
+                        for (i1, cell) in row.chunks_exact_mut(8).take(g.n).enumerate() {
+                            g.update(cell, g.dot(view, i0, i1)?);
+                        }
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        join_all(handles, "gemm")
+    })?;
+    Ok(true)
+}
+
 /// Parallel `csrmv_f64`: rows partitioned across workers. `y` is
 /// contiguous, so an independence certificate gets disjoint in-place
-/// windows; a reduction certificate computes per-worker partial row
-/// buffers combined in ascending order. Row dot products keep their
-/// serial `rowptr` order either way.
+/// slices of its window; a reduction certificate computes per-worker
+/// partial row buffers combined in ascending order. Row dot products keep
+/// their serial `rowptr` order either way.
 pub fn csrmv_parallel(
     cert: ParallelCert,
     workers: usize,
     mem: &mut Memory,
     args: &[Value],
 ) -> Result<Value, String> {
-    let sp = parse_csrmv(args)?;
-    if sp.m <= 0 {
-        return csrmv_serial(mem, args);
-    }
-    let parts = chunk_range(0, sp.m, workers);
+    let Some(sp) = Csr::check(&mem.view(), parse_csrmv(args)?)? else {
+        return Ok(Value::I(0));
+    };
+    let parts = row_chunks(sp.m, workers);
     if parts.len() <= 1 {
-        return csrmv_serial(mem, args);
+        sp.serial(mem)?;
+        return Ok(Value::I(0));
     }
 
     match cert {
         ParallelCert::Independent => {
-            let end = elem_addr(sp.y, sp.m, 8)?;
-            let (view, window) = mem.split_out(sp.y, (end - sp.y) as usize)?;
-            let mut wins = Vec::with_capacity(parts.len());
-            let mut rest = window;
-            for &(lo, _) in parts.iter().skip(1) {
-                let (head, tail) = rest.split_at(elem_addr(sp.y, lo, 8)?)?;
-                wins.push(head);
-                rest = tail;
-            }
-            wins.push(rest);
-
-            let results: Vec<Result<(), String>> = std::thread::scope(|s| {
-                let view = &view;
-                let sp = &sp;
-                let handles: Vec<_> = parts
+            let (view, window) = mem.split_out(sp.y(), 8 * sp.m)?;
+            let pieces = split_rows(window, &parts, 8);
+            std::thread::scope(|s| {
+                let (sp, view) = (&sp, &view);
+                let handles = parts
                     .iter()
-                    .copied()
-                    .zip(wins)
-                    .map(|((lo, hi), mut win)| {
+                    .zip(pieces)
+                    .map(|(&(lo, hi), piece)| {
                         s.spawn(move || {
-                            for j in lo..hi {
-                                let d = csrmv_row(sp, view, j)?;
-                                win.store_f64(elem_addr(sp.y, j, 8)?, d)?;
+                            for (j, cell) in (lo..hi).zip(piece.chunks_exact_mut(8)) {
+                                cell.copy_from_slice(&sp.row(view, j)?.to_le_bytes());
                             }
                             Ok(())
                         })
                     })
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|_| Err("parallel csrmv worker panicked".into()))
-                    })
-                    .collect()
-            });
-            for r in results {
-                r?;
-            }
+                join_all(handles, "csrmv")
+            })?;
         }
         ParallelCert::ReductionOnly => {
-            let shared = &*mem;
-            let results: Vec<Result<Vec<f64>, String>> = std::thread::scope(|s| {
-                let sp = &sp;
-                let handles: Vec<_> = parts
+            let view = mem.view();
+            let partials = std::thread::scope(|s| {
+                let (sp, view) = (&sp, &view);
+                let handles = parts
                     .iter()
-                    .map(|&(lo, hi)| {
-                        s.spawn(move || (lo..hi).map(|j| csrmv_row(sp, shared, j)).collect())
-                    })
+                    .map(|&(lo, hi)| s.spawn(move || (lo..hi).map(|j| sp.row(view, j)).collect()))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join()
-                            .unwrap_or_else(|_| Err("parallel csrmv worker panicked".into()))
-                    })
-                    .collect()
-            });
-            for (&(lo, _), r) in parts.iter().zip(results) {
-                for (j, d) in (lo..).zip(r?) {
-                    mem.store_f64(elem_addr(sp.y, j, 8)?, d)?;
-                }
+                join_all::<Vec<f64>>(handles, "csrmv")
+            })?;
+            for (j, d) in partials.into_iter().flatten().enumerate() {
+                sp.store(mem, j, d);
             }
         }
     }
@@ -541,7 +527,7 @@ pub fn register_parallel<'m>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hosts::register_all;
+    use crate::hosts::{csrmv_serial, gemm_serial, register_all};
     use interp::Machine;
 
     #[test]
@@ -668,6 +654,99 @@ mod tests {
         }
     }
 
+    /// Three-row CSR operands with unit `x`; `y` directly follows `x`.
+    fn csrmv_small(mem: &mut Memory, rowptr: &[i32], colidx: &[i32]) -> Vec<Value> {
+        let vp = mem.alloc_f64_slice(&[1.0; 5]);
+        let rp = mem.alloc_i32_slice(rowptr);
+        let cp = mem.alloc_i32_slice(colidx);
+        let xp = mem.alloc_f64_slice(&[1.0, 1.0, 1.0]);
+        let yp = mem.alloc_f64_slice(&[0.0; 3]);
+        assert_eq!(yp, xp + 24);
+        vec![
+            Value::P(vp),
+            Value::P(rp),
+            Value::P(cp),
+            Value::P(xp),
+            Value::P(yp),
+            Value::I(rowptr.len() as i64 - 1),
+            Value::I(4),
+            Value::I(4),
+        ]
+    }
+
+    #[test]
+    fn parallel_csrmv_rejects_negative_indices_under_both_certificates() {
+        let cases: [(&[i32], &[i32]); 2] = [
+            (&[0, -2, 3, 5], &[0, 2, 1, 0, 2]),
+            (&[0, 2, 3, 5], &[0, -1, 1, 0, 2]),
+        ];
+        for cert in [ParallelCert::Independent, ParallelCert::ReductionOnly] {
+            for (rowptr, colidx) in cases {
+                let mut mem = Memory::new();
+                let args = csrmv_small(&mut mem, rowptr, colidx);
+                let err = csrmv_parallel(cert, 2, &mut mem, &args).unwrap_err();
+                assert!(err.contains("negative element index"), "{cert:?}: {err}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_csrmv_refuses_x_reads_inside_the_y_window() {
+        // colidx 3 addresses x[3], which is y[0]: under an independence
+        // certificate the read view convicts the alias.
+        let mut mem = Memory::new();
+        let args = csrmv_small(&mut mem, &[0, 2, 3, 5], &[0, 3, 1, 0, 2]);
+        let err = csrmv_parallel(ParallelCert::Independent, 2, &mut mem, &args).unwrap_err();
+        assert!(err.contains("independence certificate"), "{err}");
+    }
+
+    #[test]
+    fn empty_launches_touch_only_what_the_serial_loops_touch() {
+        // k = 0: C = 0 + beta*C, A and B are never read (null is fine).
+        let beta = -0.5;
+        let mut mem = Memory::new();
+        let mut args = gemm_fixture(&mut mem, 5, 3, 4, beta);
+        args[0] = Value::P(0);
+        args[1] = Value::P(0);
+        args[5] = Value::I(0);
+        let cp = args[2].try_p().unwrap();
+        let mut want = mem.clone();
+        for (i, v) in mem.read_f64_slice(cp, 15).into_iter().enumerate() {
+            want.store_f64(cp + 8 * i as u64, 0.0 + v * beta).unwrap();
+        }
+        let mut serial = mem.clone();
+        gemm_serial(&mut serial, &args).unwrap();
+        assert_eq!(serial.bytes(), want.bytes());
+        for cert in [ParallelCert::Independent, ParallelCert::ReductionOnly] {
+            let mut par = mem.clone();
+            gemm_parallel(cert, 2, &mut par, &args).unwrap();
+            assert_eq!(par.bytes(), want.bytes(), "{cert:?}");
+        }
+        // m = 0 or n = 0: no element is read or written, even through null
+        // pointers; likewise csrmv with m = 0.
+        for (mi, ni) in [(0, 3), (5, 0), (-1, 3)] {
+            let mut args = gemm_fixture(&mut mem, 5, 3, 4, beta);
+            args[2] = Value::P(0);
+            args[3] = Value::I(mi);
+            args[4] = Value::I(ni);
+            let before = mem.bytes().to_vec();
+            gemm_serial(&mut mem, &args).unwrap();
+            for cert in [ParallelCert::Independent, ParallelCert::ReductionOnly] {
+                gemm_parallel(cert, 2, &mut mem, &args).unwrap();
+            }
+            assert_eq!(mem.bytes(), &before[..], "m {mi}, n {ni}");
+        }
+        let mut args = csrmv_fixture(&mut mem, 4);
+        args[4] = Value::P(0);
+        args[5] = Value::I(0);
+        let before = mem.bytes().to_vec();
+        csrmv_serial(&mut mem, &args).unwrap();
+        for cert in [ParallelCert::Independent, ParallelCert::ReductionOnly] {
+            csrmv_parallel(cert, 2, &mut mem, &args).unwrap();
+        }
+        assert_eq!(mem.bytes(), &before[..]);
+    }
+
     #[test]
     fn parallel_gemm_refuses_aliased_output() {
         // Point A at the C buffer: the windowed executor's read view must
@@ -676,6 +755,45 @@ mod tests {
         let mut args = gemm_fixture(&mut mem, 4, 4, 4, 0.0);
         args[0] = args[2];
         let err = gemm_parallel(ParallelCert::Independent, 2, &mut mem, &args).unwrap_err();
+        assert!(err.contains("independence certificate"), "{err}");
+    }
+
+    #[test]
+    fn strided_input_around_the_output_window_is_not_an_alias() {
+        // One array holds A's row 0, then C (2×2), then A's row 1 at
+        // stride `sa`: with sa = 8 A's span encloses C's window without an
+        // element inside it, which must run (and match serial bitwise);
+        // with sa = 3 A's row 1 lands inside C, which is an alias.
+        let make = |mem: &mut Memory, sa: i64| {
+            let buf: Vec<f64> = (0..10).map(|i| 1.0 + i as f64 * 0.5).collect();
+            let base = mem.alloc_f64_slice(&buf);
+            let bp = mem.alloc_f64_slice(&[0.25, -1.0, 2.0, 0.125]);
+            vec![
+                Value::P(base),
+                Value::P(bp),
+                Value::P(base + 16),
+                Value::I(2),
+                Value::I(2),
+                Value::I(2),
+                Value::I(sa),
+                Value::I(2),
+                Value::I(2),
+                Value::I(0),
+                Value::I(0),
+                Value::I(0),
+                Value::F(0.5),
+            ]
+        };
+        let mut m1 = Memory::new();
+        let a1 = make(&mut m1, 8);
+        gemm_serial(&mut m1, &a1).unwrap();
+        let mut m2 = Memory::new();
+        let a2 = make(&mut m2, 8);
+        gemm_parallel(ParallelCert::Independent, 2, &mut m2, &a2).unwrap();
+        assert_eq!(m1.bytes(), m2.bytes());
+        let mut m3 = Memory::new();
+        let a3 = make(&mut m3, 3);
+        let err = gemm_parallel(ParallelCert::Independent, 2, &mut m3, &a3).unwrap_err();
         assert!(err.contains("independence certificate"), "{err}");
     }
 

@@ -6,10 +6,28 @@
 //! [`crate::model`], and the parallel thread-pool variants live in
 //! [`crate::exec`]).
 //!
-//! All element addressing goes through checked signed arithmetic
-//! ([`elem_addr`]): a negative index or stride — a corrupted `rowptr`,
-//! or hostile layout facts from a bad replacement — fails with a
-//! descriptive error instead of wrapping to a huge `u64` offset.
+//! Each launch checks its operands once, then runs the numeric core over
+//! byte windows that are already known to be in bounds:
+//!
+//! * a GEMM operand is affine in (row, k), so checking its corners with
+//!   the per-element address arithmetic (`gemm_addr`, `elem_addr`)
+//!   proves every element non-negative, free of overflow and in bounds
+//!   (`Grid`);
+//! * `csrmv` checks `rowptr` and `y` once per launch and each row's
+//!   `rowptr[j]..rowptr[j+1]` range of `colidx`/`vals` once per row; only
+//!   the `x` read, whose address is data (`colidx[k]`), is checked per
+//!   nonzero.
+//!
+//! All address arithmetic is checked and signed: a negative index or
+//! stride — a corrupted `rowptr`, or hostile layout facts from a bad
+//! replacement — fails with a descriptive error instead of wrapping to a
+//! huge `u64` offset. A failed check reports the same text as the
+//! per-element accessor that would have hit the bad element.
+//!
+//! `Gemm` and `Csr` hold the one numeric body of each API; the serial
+//! hosts here and every parallel worker in [`crate::exec`] call it, so
+//! only the partitioning differs and the bitwise serial/parallel oracle
+//! compares like with like.
 
 use interp::{HostRegistry, Memory, ReadView, Value};
 use std::sync::Arc;
@@ -19,62 +37,27 @@ use std::sync::Arc;
 /// Rejects negative indices and overflowing offsets; `base + width * idx`
 /// with `idx as u64` would wrap a negative index to the top of the
 /// address space and turn a data corruption into a wild read.
+#[inline]
 pub(crate) fn elem_addr(base: u64, idx: i64, width: u64) -> Result<u64, String> {
-    if idx < 0 {
-        return Err(format!("negative element index {idx} (base {base})"));
-    }
-    (idx as u64)
-        .checked_mul(width)
+    u64::try_from(idx)
+        .ok()
+        .and_then(|i| i.checked_mul(width))
         .and_then(|off| base.checked_add(off))
-        .ok_or_else(|| format!("address overflow: {base} + {width} * {idx}"))
+        .ok_or_else(|| bad_elem(base, idx, width))
 }
 
-/// The loads a kernel body needs, abstracted over the full [`Memory`]
-/// (serial hosts) and a [`ReadView`] with the output carved out
-/// (parallel workers). Keeping one body for both is what makes the
-/// bitwise serial/parallel oracle meaningful: the arithmetic is the
-/// same code, only the partitioning differs.
-pub(crate) trait KernelLoads {
-    fn ld_f64(&self, addr: u64) -> Result<f64, String>;
-    fn ld_i32(&self, addr: u64) -> Result<i64, String>;
-    fn ld_i64(&self, addr: u64) -> Result<i64, String>;
-}
-
-impl KernelLoads for Memory {
-    fn ld_f64(&self, addr: u64) -> Result<f64, String> {
-        self.load_f64(addr)
-    }
-    fn ld_i32(&self, addr: u64) -> Result<i64, String> {
-        self.load_i32(addr)
-    }
-    fn ld_i64(&self, addr: u64) -> Result<i64, String> {
-        self.load_i64(addr)
-    }
-}
-
-impl KernelLoads for ReadView<'_> {
-    fn ld_f64(&self, addr: u64) -> Result<f64, String> {
-        self.load_f64(addr)
-    }
-    fn ld_i32(&self, addr: u64) -> Result<i64, String> {
-        self.load_i32(addr)
-    }
-    fn ld_i64(&self, addr: u64) -> Result<i64, String> {
-        self.load_i64(addr)
-    }
-}
-
-pub(crate) fn load_idx<L: KernelLoads>(
-    src: &L,
-    base: u64,
-    k: i64,
-    width: i64,
-) -> Result<i64, String> {
-    if width == 4 {
-        src.ld_i32(elem_addr(base, k, 4)?)
+#[cold]
+fn bad_elem(base: u64, idx: i64, width: u64) -> String {
+    if idx < 0 {
+        format!("negative element index {idx} (base {base})")
     } else {
-        src.ld_i64(elem_addr(base, k, 8)?)
+        format!("address overflow: {base} + {width} * {idx}")
     }
+}
+
+/// Decodes a little-endian `f64` from the first 8 bytes of a window.
+fn f64_at(bytes: &[u8]) -> f64 {
+    f64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
 /// Rejects calls with the wrong argument count — a corrupted replacement
@@ -143,22 +126,153 @@ pub(crate) fn gemm_addr(
     elem_addr(base, idx, 8)
 }
 
-/// The dot product for output element `(i0, i1)` — the full serial
-/// accumulation chain, shared verbatim by the serial host and every
-/// parallel worker (bitwise determinism).
-pub(crate) fn gemm_acc<L: KernelLoads>(
-    g: &GemmArgs,
-    src: &L,
-    i0: i64,
-    i1: i64,
-) -> Result<f64, String> {
-    let mut acc = 0.0;
-    for kk in 0..g.k {
-        let av = src.ld_f64(gemm_addr(g.a, i0, kk, g.sa, g.ar)?)?;
-        let bv = src.ld_f64(gemm_addr(g.b, i1, kk, g.sb, g.br)?)?;
-        acc += av * bv;
+/// A GEMM operand checked over its whole `rows × cols` extent: element
+/// `(r, c)` is the `f64` at byte `r * row + c * col` of the window
+/// `[base, base + len)`. An empty extent has an empty window.
+pub(crate) struct Grid {
+    /// Address of element `(0, 0)`, the lowest element.
+    pub base: u64,
+    /// Bytes from `base` to the end of the highest element.
+    pub len: usize,
+    /// Byte step between consecutive rows.
+    pub row: usize,
+    /// Byte step between consecutive columns.
+    pub col: usize,
+}
+
+impl Grid {
+    /// Checks the operand `(r, c) ↦ gemm_addr(base, r, c, stride,
+    /// row_scaled)`. Its index is affine in `(r, c)` and zero at `(0, 0)`,
+    /// so the extremes lie at the corners: three corner addresses with no
+    /// negative index or overflow prove both steps non-negative and every
+    /// element's address valid, and loading the lowest and highest
+    /// element through `view` proves every element in bounds.
+    fn new(
+        view: &ReadView<'_>,
+        base: u64,
+        rows: i64,
+        cols: i64,
+        stride: i64,
+        row_scaled: i64,
+    ) -> Result<Grid, String> {
+        if rows <= 0 || cols <= 0 {
+            return Ok(Grid {
+                base,
+                len: 0,
+                row: 0,
+                col: 0,
+            });
+        }
+        let (r1, c1) = (rows - 1, cols - 1);
+        let down = gemm_addr(base, r1, 0, stride, row_scaled)?;
+        let right = gemm_addr(base, 0, c1, stride, row_scaled)?;
+        let last = gemm_addr(base, r1, c1, stride, row_scaled)?;
+        view.load_f64(base)?;
+        view.load_f64(last)?;
+        // In bounds, so every offset below fits in `usize`.
+        let step = |to: u64, n: i64| if n > 0 { (to - base) / n as u64 } else { 0 };
+        Ok(Grid {
+            base,
+            len: (last - base) as usize + 8,
+            row: step(down, r1) as usize,
+            col: step(right, c1) as usize,
+        })
     }
-    Ok(acc)
+
+    /// The operand's bytes from element `(r, 0)` on.
+    fn row_bytes<'v>(&self, view: &ReadView<'v>, r: usize) -> Result<&'v [u8], String> {
+        if self.len == 0 {
+            return Ok(&[]);
+        }
+        Ok(&view.bytes(self.base, self.len)?[r * self.row..])
+    }
+
+    /// Element addresses in row-major order.
+    pub(crate) fn addrs(&self, rows: usize, cols: usize) -> impl Iterator<Item = u64> + '_ {
+        (0..rows).flat_map(move |r| {
+            (0..cols).map(move |c| self.base + (r * self.row + c * self.col) as u64)
+        })
+    }
+}
+
+/// A `gemm_f64` launch with at least one output element, its operands
+/// checked once ([`Grid`]).
+pub(crate) struct Gemm {
+    pub a: Grid,
+    pub b: Grid,
+    pub c: Grid,
+    pub m: usize,
+    pub n: usize,
+    pub k: usize,
+    pub beta: f64,
+}
+
+impl Gemm {
+    /// Checks A, B and C against `view`; `None` for a launch with no
+    /// output element, which reads and writes nothing. A and B are not
+    /// read when `k <= 0`.
+    pub(crate) fn check(view: &ReadView<'_>, g: &GemmArgs) -> Result<Option<Gemm>, String> {
+        if g.m <= 0 || g.n <= 0 {
+            return Ok(None);
+        }
+        let k = g.k.max(0);
+        Ok(Some(Gemm {
+            a: Grid::new(view, g.a, g.m, k, g.sa, g.ar)?,
+            b: Grid::new(view, g.b, g.n, k, g.sb, g.br)?,
+            c: Grid::new(view, g.c, g.m, g.n, g.sc, g.cr)?,
+            m: g.m as usize,
+            n: g.n as usize,
+            k: k as usize,
+            beta: g.beta,
+        }))
+    }
+
+    /// Output elements `(i0, i1)` in the serial store order.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (usize, usize)> {
+        let n = self.n;
+        (0..self.m).flat_map(move |i0| (0..n).map(move |i1| (i0, i1)))
+    }
+
+    /// The dot product for output element `(i0, i1)`: the full
+    /// accumulation chain in the original `k` order, shared verbatim by
+    /// the serial host and every parallel worker (bitwise determinism).
+    pub(crate) fn dot(&self, view: &ReadView<'_>, i0: usize, i1: usize) -> Result<f64, String> {
+        let a = self.a.row_bytes(view, i0)?;
+        let b = self.b.row_bytes(view, i1)?;
+        let mut acc = 0.0;
+        if self.a.col == 8 && self.b.col == 8 {
+            for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)).take(self.k) {
+                acc += f64_at(x) * f64_at(y);
+            }
+        } else {
+            for kk in 0..self.k {
+                acc += f64_at(&a[kk * self.a.col..]) * f64_at(&b[kk * self.b.col..]);
+            }
+        }
+        Ok(acc)
+    }
+
+    /// Writes `acc + beta * C` into one 8-byte C cell.
+    pub(crate) fn update(&self, cell: &mut [u8], acc: f64) {
+        let v = acc + beta_old(f64_at(cell), self.beta);
+        cell.copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Updates C element `(i0, i1)` in memory.
+    pub(crate) fn store(&self, mem: &mut Memory, (i0, i1): (usize, usize), acc: f64) {
+        let at = self.c.base as usize + i0 * self.c.row + i1 * self.c.col;
+        self.update(&mut mem.bytes_mut()[at..at + 8], acc);
+    }
+
+    /// The serial host's loop. A and B are re-read from memory after
+    /// every store, so an operand aliasing C sees each earlier result.
+    pub(crate) fn serial(&self, mem: &mut Memory) -> Result<(), String> {
+        for cell in self.cells() {
+            let acc = self.dot(&mem.view(), cell.0, cell.1)?;
+            self.store(mem, cell, acc);
+        }
+        Ok(())
+    }
 }
 
 /// The `beta * C` term. Only `+0.0` short-circuits (the BLAS "don't use
@@ -177,14 +291,8 @@ pub(crate) fn beta_old(cur: f64, beta: f64) -> f64 {
 /// The sequential `gemm_f64` executor (also the parallel backend's
 /// oracle; see [`crate::exec`]).
 pub fn gemm_serial(mem: &mut Memory, args: &[Value]) -> Result<Value, String> {
-    let g = parse_gemm(args)?;
-    for i0 in 0..g.m {
-        for i1 in 0..g.n {
-            let acc = gemm_acc(&g, mem, i0, i1)?;
-            let ca = gemm_addr(g.c, i0, i1, g.sc, g.cr)?;
-            let cur = mem.load_f64(ca)?;
-            mem.store_f64(ca, acc + beta_old(cur, g.beta))?;
-        }
+    if let Some(g) = Gemm::check(&mem.view(), &parse_gemm(args)?)? {
+        g.serial(mem)?;
     }
     Ok(Value::I(0))
 }
@@ -215,25 +323,126 @@ pub(crate) fn parse_csrmv(args: &[Value]) -> Result<CsrArgs, String> {
     })
 }
 
-/// One row's sparse dot product, in `rowptr` order — shared by the
-/// serial host and every parallel worker.
-pub(crate) fn csrmv_row<L: KernelLoads>(s: &CsrArgs, src: &L, j: i64) -> Result<f64, String> {
-    let lo = load_idx(src, s.rowptr, j, s.rw)?;
-    let hi = load_idx(src, s.rowptr, j + 1, s.rw)?;
-    let mut d = 0.0;
-    for kk in lo..hi {
-        let col = load_idx(src, s.colidx, kk, s.cw)?;
-        d += src.ld_f64(elem_addr(s.vals, kk, 8)?)? * src.ld_f64(elem_addr(s.x, col, 8)?)?;
+/// Byte width of a `rowptr`/`colidx` entry: `4` is `i32`, anything else
+/// `i64`.
+fn idx_width(w: i64) -> usize {
+    if w == 4 {
+        4
+    } else {
+        8
     }
-    Ok(d)
+}
+
+/// Decodes one `rowptr`/`colidx` entry of [`idx_width`] bytes.
+fn idx_at(bytes: &[u8]) -> i64 {
+    match *bytes {
+        [a, b, c, d] => i64::from(i32::from_le_bytes([a, b, c, d])),
+        _ => i64::from_le_bytes(bytes.try_into().expect("8 bytes")),
+    }
+}
+
+/// The bytes of elements `lo..hi` (`lo < hi`) of the `width`-byte array
+/// at `base`, checked once: both ends through the per-element address
+/// arithmetic, then the whole range against `view`. A refused range
+/// reports the refused end element when there is one.
+fn span<'v>(
+    view: &ReadView<'v>,
+    base: u64,
+    lo: i64,
+    hi: i64,
+    width: usize,
+) -> Result<&'v [u8], String> {
+    let first = elem_addr(base, lo, width as u64)?;
+    let last = elem_addr(base, hi - 1, width as u64)?;
+    view.bytes(first, (last - first) as usize + width)
+        .or_else(|e| {
+            view.bytes(first, width)?;
+            view.bytes(last, width)?;
+            Err(e)
+        })
+}
+
+/// A `csrmv_f64` launch with at least one row, `rowptr[0..=m]` and
+/// `y[0..m]` checked once.
+pub(crate) struct Csr {
+    s: CsrArgs,
+    pub m: usize,
+    rw: usize,
+    cw: usize,
+}
+
+impl Csr {
+    /// Checks `rowptr` and `y` against `view`; `None` for a launch with
+    /// no rows, which reads and writes nothing.
+    pub(crate) fn check(view: &ReadView<'_>, s: CsrArgs) -> Result<Option<Csr>, String> {
+        if s.m <= 0 {
+            return Ok(None);
+        }
+        let rw = idx_width(s.rw);
+        span(view, s.rowptr, 0, s.m.saturating_add(1), rw)?;
+        span(view, s.y, 0, s.m, 8)?;
+        Ok(Some(Csr {
+            m: s.m as usize,
+            rw,
+            cw: idx_width(s.cw),
+            s,
+        }))
+    }
+
+    /// Address of `y[0]`.
+    pub(crate) fn y(&self) -> u64 {
+        self.s.y
+    }
+
+    /// Row `j`'s sparse dot product, in `rowptr` order — shared by the
+    /// serial host and every parallel worker.
+    pub(crate) fn row(&self, view: &ReadView<'_>, j: usize) -> Result<f64, String> {
+        let rp = view.bytes(self.s.rowptr, (self.m + 1) * self.rw)?;
+        let lo = idx_at(&rp[j * self.rw..(j + 1) * self.rw]);
+        let hi = idx_at(&rp[(j + 1) * self.rw..(j + 2) * self.rw]);
+        if hi <= lo {
+            return Ok(0.0);
+        }
+        let cols = span(view, self.s.colidx, lo, hi, self.cw)?;
+        let vals = span(view, self.s.vals, lo, hi, 8)?;
+        let xs = view.tail(self.s.x);
+        let mut d = 0.0;
+        for (c, v) in cols.chunks_exact(self.cw).zip(vals.chunks_exact(8)) {
+            // The one per-nonzero check: `colidx[k]` is data.
+            let col = idx_at(c);
+            let x = match usize::try_from(col)
+                .ok()
+                .and_then(|i| xs.get(i.checked_mul(8)?..)?.get(..8))
+            {
+                Some(b) => f64_at(b),
+                None => view.load_f64(elem_addr(self.s.x, col, 8)?)?,
+            };
+            d += f64_at(v) * x;
+        }
+        Ok(d)
+    }
+
+    /// Stores `y[j]`.
+    pub(crate) fn store(&self, mem: &mut Memory, j: usize, d: f64) {
+        let at = self.s.y as usize + 8 * j;
+        mem.bytes_mut()[at..at + 8].copy_from_slice(&d.to_le_bytes());
+    }
+
+    /// The serial host's loop; each row re-reads memory after the
+    /// previous row's store.
+    pub(crate) fn serial(&self, mem: &mut Memory) -> Result<(), String> {
+        for j in 0..self.m {
+            let d = self.row(&mem.view(), j)?;
+            self.store(mem, j, d);
+        }
+        Ok(())
+    }
 }
 
 /// The sequential `csrmv_f64` executor.
 pub fn csrmv_serial(mem: &mut Memory, args: &[Value]) -> Result<Value, String> {
-    let s = parse_csrmv(args)?;
-    for j in 0..s.m {
-        let d = csrmv_row(&s, mem, j)?;
-        mem.store_f64(elem_addr(s.y, j, 8)?, d)?;
+    if let Some(s) = Csr::check(&mem.view(), parse_csrmv(args)?)? {
+        s.serial(mem)?;
     }
     Ok(Value::I(0))
 }
@@ -431,6 +640,55 @@ entry:
         let cp2 = args2[2].try_p().unwrap();
         gemm_serial(&mut mem2, &args2).unwrap();
         assert_eq!(mem2.load_f64(cp2).unwrap(), 11.0);
+    }
+
+    #[test]
+    fn gemm_serial_with_a_aliasing_c_rereads_c_after_every_store() {
+        // A is C (square, same stride): each output element's dot product
+        // reads C as left by every earlier store.
+        let n = 4usize;
+        let b: Vec<f64> = (0..n * n).map(|i| 0.5 - i as f64 * 0.125).collect();
+        let c0: Vec<f64> = (0..n * n).map(|i| (i as f64 * 0.3).sin()).collect();
+        for beta in [0.0, -0.0, 0.75] {
+            let mut want = c0.clone();
+            for i0 in 0..n {
+                for i1 in 0..n {
+                    let mut acc = 0.0;
+                    for kk in 0..n {
+                        acc += want[i0 * n + kk] * b[i1 * n + kk];
+                    }
+                    let cur = want[i0 * n + i1];
+                    want[i0 * n + i1] = acc + beta_old(cur, beta);
+                }
+            }
+            let mut mem = Memory::new();
+            let bp = mem.alloc_f64_slice(&b);
+            let cp = mem.alloc_f64_slice(&c0);
+            let ni = n as i64;
+            let args = [
+                Value::P(cp),
+                Value::P(bp),
+                Value::P(cp),
+                Value::I(ni),
+                Value::I(ni),
+                Value::I(ni),
+                Value::I(ni),
+                Value::I(ni),
+                Value::I(ni),
+                Value::I(0),
+                Value::I(0),
+                Value::I(0),
+                Value::F(beta),
+            ];
+            gemm_serial(&mut mem, &args).unwrap();
+            let got: Vec<u64> = mem
+                .read_f64_slice(cp, n * n)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "beta {beta}");
+        }
     }
 
     #[test]

@@ -32,6 +32,6 @@ mod vm;
 
 pub use bytecode::{compile_module, CompiledModule};
 pub use machine::{ExecError, HostFn, HostRegistry, Machine, Value, MAX_CALL_DEPTH};
-pub use memory::{Allocation, Memory, OutWindow, ReadView};
+pub use memory::{Allocation, Memory, ReadView};
 pub use profile::Profile;
 pub use vm::Vm;

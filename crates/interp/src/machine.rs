@@ -426,7 +426,7 @@ impl<'m> Machine<'m> {
                 let base = op_p(0)?;
                 let idx = op_i(1)?;
                 let elem = ty.pointee().expect("gep yields pointer").size_bytes() as i64;
-                Value::P((base as i64 + idx * elem) as u64)
+                Value::P((base as i64).wrapping_add(idx.wrapping_mul(elem)) as u64)
             }
             Opcode::Load => {
                 let addr = op_p(0)?;

@@ -88,14 +88,13 @@ impl Memory {
     }
 
     fn check(&self, addr: u64, n: usize) -> Result<usize, String> {
-        let a = addr as usize;
         if addr == 0 {
             return Err("null pointer access".into());
         }
-        if a + n > self.bytes.len() {
-            return Err(format!("out-of-bounds access at {addr} (+{n})"));
-        }
-        Ok(a)
+        usize::try_from(addr)
+            .ok()
+            .filter(|a| a.checked_add(n).is_some_and(|end| end <= self.bytes.len()))
+            .ok_or_else(|| out_of_bounds(addr, n))
     }
 
     /// Loads an `i64` (or pointer) value.
@@ -238,25 +237,41 @@ impl Memory {
         &mut self.bytes
     }
 
+    /// A shared read view of the whole memory: the read side of the serial
+    /// kernel hosts, with no output window carved out.
+    #[must_use]
+    pub fn view(&self) -> ReadView<'_> {
+        let end = self.bytes.len();
+        ReadView {
+            lo: &self.bytes,
+            hi: &[],
+            win_start: end,
+            win_end: end,
+        }
+    }
+
     /// Splits the memory into a shared read view of everything *outside*
-    /// `[base, base + len)` and an exclusive output window over that
-    /// range. The view is `Sync` (workers share it), the window is `Send`
-    /// and can be further [`OutWindow::split_at`] into disjoint
-    /// per-worker slices — together they are the threading contract of
-    /// the parallel kernel hosts: concurrent reads anywhere except the
-    /// output, exclusive writes inside it.
+    /// `[base, base + len)` and an exclusive output window over exactly
+    /// those bytes. The view is `Sync` (workers share it); the window is
+    /// handed to workers as disjoint `split_at_mut`/`chunks_mut` pieces.
+    /// Together they are the threading contract of the parallel kernel
+    /// hosts: concurrent reads anywhere except the output, exclusive
+    /// writes inside it.
     pub fn split_out(
         &mut self,
         base: u64,
         len: usize,
-    ) -> Result<(ReadView<'_>, OutWindow<'_>), String> {
+    ) -> Result<(ReadView<'_>, &mut [u8]), String> {
         if base == 0 {
             return Err("null pointer output window".into());
         }
-        let b = base as usize;
-        if b + len > self.bytes.len() {
+        let Some((b, end)) = usize::try_from(base)
+            .ok()
+            .and_then(|b| Some((b, b.checked_add(len)?)))
+            .filter(|&(_, end)| end <= self.bytes.len())
+        else {
             return Err(format!("out-of-bounds output window at {base} (+{len})"));
-        }
+        };
         let (lo, rest) = self.bytes.split_at_mut(b);
         let (win, hi) = rest.split_at_mut(len);
         Ok((
@@ -264,18 +279,20 @@ impl Memory {
                 lo,
                 hi,
                 win_start: b,
-                win_end: b + len,
+                win_end: end,
             },
-            OutWindow {
-                bytes: win,
-                start: b,
-            },
+            win,
         ))
     }
 }
 
-/// Read-only view of a [`Memory`] with one address range carved out (the
-/// output window of a parallel kernel). Loads that land inside the
+#[cold]
+fn out_of_bounds(addr: u64, n: usize) -> String {
+    format!("out-of-bounds access at {addr} (+{n})")
+}
+
+/// Read-only view of a [`Memory`], possibly with one address range carved
+/// out (the output window of a parallel kernel). Reads that overlap the
 /// carved-out range fail with a descriptive error — an input overlapping
 /// the output means the independence certificate was wrong, and the
 /// parallel backend reports that instead of racing.
@@ -286,125 +303,68 @@ pub struct ReadView<'a> {
     win_end: usize,
 }
 
-impl ReadView<'_> {
-    fn slice(&self, addr: u64, n: usize) -> Result<&[u8], String> {
-        if addr == 0 {
-            return Err("null pointer access".into());
-        }
-        let a = addr as usize;
-        if a + n <= self.win_start {
-            return Ok(&self.lo[a..a + n]);
-        }
-        if a >= self.win_end {
-            let off = a - self.win_end;
-            if off + n > self.hi.len() {
-                return Err(format!("out-of-bounds access at {addr} (+{n})"));
+impl<'a> ReadView<'a> {
+    /// The `n` bytes at `addr`, checked once: null, out of bounds and
+    /// overlap with the carved-out window are errors, with the same text
+    /// as [`Memory`]'s own accessors.
+    #[inline]
+    pub fn bytes(&self, addr: u64, n: usize) -> Result<&'a [u8], String> {
+        if let Some(a) = usize::try_from(addr).ok().filter(|&a| a != 0) {
+            if let Some(end) = a.checked_add(n) {
+                if end <= self.win_start {
+                    return Ok(&self.lo[a..end]);
+                }
+                if a >= self.win_end {
+                    if let Some(b) = self.hi.get(a - self.win_end..end - self.win_end) {
+                        return Ok(b);
+                    }
+                }
             }
-            return Ok(&self.hi[off..off + n]);
         }
-        Err(format!(
+        Err(self.refusal(addr, n))
+    }
+
+    /// The readable bytes from `addr` up to the carved-out window or the
+    /// end of memory, whichever comes first; empty when `addr` is null,
+    /// out of bounds or inside the window. A cheap first try for reads
+    /// whose offsets are data: what it does not cover goes through
+    /// [`ReadView::bytes`].
+    #[inline]
+    #[must_use]
+    pub fn tail(&self, addr: u64) -> &'a [u8] {
+        match usize::try_from(addr) {
+            Ok(a) if a != 0 && a < self.win_start => &self.lo[a..],
+            Ok(a) if a >= self.win_end => self.hi.get(a - self.win_end..).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+
+    /// Why [`ReadView::bytes`] refused `addr` (+`n`).
+    #[cold]
+    #[inline(never)]
+    fn refusal(&self, addr: u64, n: usize) -> String {
+        if addr == 0 {
+            return "null pointer access".into();
+        }
+        let a = usize::try_from(addr).unwrap_or(usize::MAX);
+        let overlaps = self.win_start < self.win_end
+            && a < self.win_end
+            && a.checked_add(n).is_some_and(|end| end > self.win_start);
+        if !overlaps {
+            return out_of_bounds(addr, n);
+        }
+        format!(
             "read at {addr} (+{n}) overlaps the parallel output window [{}, {}) — \
              input/output alias violates the independence certificate",
             self.win_start, self.win_end
-        ))
+        )
     }
 
     /// Loads an `f64`.
+    #[inline]
     pub fn load_f64(&self, addr: u64) -> Result<f64, String> {
         Ok(f64::from_le_bytes(
-            self.slice(addr, 8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Loads an `i64` (or pointer) value.
-    pub fn load_i64(&self, addr: u64) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(
-            self.slice(addr, 8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Loads an `i32` value (sign-preserved in `i64`).
-    pub fn load_i32(&self, addr: u64) -> Result<i64, String> {
-        Ok(i64::from(i32::from_le_bytes(
-            self.slice(addr, 4)?.try_into().expect("4 bytes"),
-        )))
-    }
-}
-
-/// Exclusive, bounds-checked window over one output range of a
-/// [`Memory`]. Addresses are absolute (same address space as the parent
-/// memory); [`OutWindow::split_at`] carves it into disjoint per-worker
-/// windows.
-pub struct OutWindow<'a> {
-    bytes: &'a mut [u8],
-    start: usize,
-}
-
-impl<'a> OutWindow<'a> {
-    /// Absolute address of the first byte of the window.
-    #[must_use]
-    pub fn base(&self) -> u64 {
-        self.start as u64
-    }
-
-    /// Window length in bytes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the window is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
-    }
-
-    fn offset(&self, addr: u64, n: usize) -> Result<usize, String> {
-        let a = addr as usize;
-        if a < self.start || a + n > self.start + self.bytes.len() {
-            return Err(format!(
-                "access at {addr} (+{n}) outside the output window [{}, {})",
-                self.start,
-                self.start + self.bytes.len()
-            ));
-        }
-        Ok(a - self.start)
-    }
-
-    /// Loads an `f64` from inside the window (absolute address).
-    pub fn load_f64(&self, addr: u64) -> Result<f64, String> {
-        let o = self.offset(addr, 8)?;
-        Ok(f64::from_le_bytes(
-            self.bytes[o..o + 8].try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Stores an `f64` inside the window (absolute address).
-    pub fn store_f64(&mut self, addr: u64, v: f64) -> Result<(), String> {
-        let o = self.offset(addr, 8)?;
-        self.bytes[o..o + 8].copy_from_slice(&v.to_le_bytes());
-        Ok(())
-    }
-
-    /// Splits at absolute address `addr`, returning the windows
-    /// `[base, addr)` and `[addr, base + len)`.
-    pub fn split_at(self, addr: u64) -> Result<(OutWindow<'a>, OutWindow<'a>), String> {
-        let a = addr as usize;
-        if a < self.start || a > self.start + self.bytes.len() {
-            return Err(format!(
-                "split at {addr} outside the output window [{}, {})",
-                self.start,
-                self.start + self.bytes.len()
-            ));
-        }
-        let mid = a - self.start;
-        let (l, r) = self.bytes.split_at_mut(mid);
-        Ok((
-            OutWindow {
-                bytes: l,
-                start: self.start,
-            },
-            OutWindow { bytes: r, start: a },
+            self.bytes(addr, 8)?.try_into().expect("8 bytes"),
         ))
     }
 }
@@ -474,37 +434,66 @@ mod tests {
         let mut m = Memory::new();
         let a = m.alloc_f64_slice(&[1.0, 2.0]);
         let out = m.alloc_f64_slice(&[0.0, 0.0, 0.0]);
-        let (view, mut win) = m.split_out(out, 24).unwrap();
-        // Reads outside the window succeed, including past it.
+        let tail = m.alloc_f64_slice(&[3.0]);
+        let (view, win) = m.split_out(out, 24).unwrap();
+        // Reads outside the window succeed, on both sides of it.
         assert_eq!(view.load_f64(a).unwrap(), 1.0);
         assert_eq!(view.load_f64(a + 8).unwrap(), 2.0);
-        // Reads inside the window are refused (alias = broken certificate).
+        assert_eq!(view.load_f64(tail).unwrap(), 3.0);
+        assert_eq!(view.bytes(a, 16).unwrap().len(), 16);
+        // Reads overlapping the window are refused (alias = broken
+        // certificate), as are null and out-of-bounds reads.
         let err = view.load_f64(out + 8).unwrap_err();
         assert!(err.contains("independence certificate"), "{err}");
+        let err = view.bytes(a, 24).unwrap_err();
+        assert!(err.contains("independence certificate"), "{err}");
         assert!(view.load_f64(0).is_err());
-        // Window stores land in the parent memory.
-        win.store_f64(out + 16, 7.5).unwrap();
-        assert_eq!(win.load_f64(out + 16).unwrap(), 7.5);
-        assert!(win.store_f64(a, 0.0).is_err());
-        assert!(win.store_f64(out + 24, 0.0).is_err());
-        assert_eq!(m.read_f64_slice(out, 3), vec![0.0, 0.0, 7.5]);
+        assert_eq!(
+            view.load_f64(tail + 8).unwrap_err(),
+            format!("out-of-bounds access at {} (+8)", tail + 8)
+        );
+        // The window is exactly the carved-out bytes; its pieces split
+        // disjointly and stores land in the parent memory.
+        assert_eq!(win.len(), 24);
+        let (l, r) = win.split_at_mut(16);
+        l[8..16].copy_from_slice(&1.0f64.to_le_bytes());
+        r.copy_from_slice(&7.5f64.to_le_bytes());
+        assert_eq!(m.read_f64_slice(out, 3), vec![0.0, 1.0, 7.5]);
     }
 
     #[test]
-    fn out_window_splits_into_disjoint_chunks() {
+    fn whole_view_matches_the_memory_accessors() {
         let mut m = Memory::new();
-        let out = m.alloc_f64_slice(&[0.0; 4]);
-        let (_view, win) = m.split_out(out, 32).unwrap();
-        let (mut l, mut r) = win.split_at(out + 16).unwrap();
-        assert_eq!(l.base(), out);
-        assert_eq!(l.len(), 16);
-        assert_eq!(r.base(), out + 16);
-        assert_eq!(r.len(), 16);
-        l.store_f64(out + 8, 1.0).unwrap();
-        r.store_f64(out + 16, 2.0).unwrap();
-        assert!(l.store_f64(out + 16, 9.0).is_err());
-        assert!(r.store_f64(out + 8, 9.0).is_err());
-        assert_eq!(m.read_f64_slice(out, 4), vec![0.0, 1.0, 2.0, 0.0]);
+        let a = m.alloc_f64_slice(&[1.5, -2.0]);
+        let view = m.view();
+        assert_eq!(view.load_f64(a + 8).unwrap(), -2.0);
+        for (addr, n) in [(0, 8), (a + 12, 8), (a + 16, 8), (u64::MAX - 3, 8)] {
+            let want = m.load_f64(addr).unwrap_err();
+            assert_eq!(view.bytes(addr, n).unwrap_err(), want, "at {addr}");
+        }
+    }
+
+    #[test]
+    fn accesses_near_the_top_of_the_address_space_are_out_of_bounds() {
+        // `addr + n` wraps past u64::MAX: an error, never a panic.
+        let mut m = Memory::new();
+        m.alloc_f64_slice(&[1.0]);
+        let top = u64::MAX - 3;
+        let oob = |n: usize| format!("out-of-bounds access at {top} (+{n})");
+        assert_eq!(m.load_f64(top).unwrap_err(), oob(8));
+        assert_eq!(m.load_i64(top).unwrap_err(), oob(8));
+        assert_eq!(m.load_i32(top).unwrap_err(), oob(4));
+        assert_eq!(m.load_f32(top).unwrap_err(), oob(4));
+        assert_eq!(m.store_f64(top, 1.0).unwrap_err(), oob(8));
+        assert_eq!(m.store_i64(top, 1).unwrap_err(), oob(8));
+        assert_eq!(m.store_i32(top, 1).unwrap_err(), oob(4));
+        assert_eq!(m.store_f32(top, 1.0).unwrap_err(), oob(4));
+        assert_eq!(m.view().load_f64(top).unwrap_err(), oob(8));
+        assert!(m.split_out(top, 8).is_err());
+        let len = m.size() as u64;
+        let (view, _) = m.split_out(8, 8).unwrap();
+        assert_eq!(view.bytes(top, 8).unwrap_err(), oob(8));
+        assert!(view.bytes(len, 8).is_err());
     }
 
     #[test]

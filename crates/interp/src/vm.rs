@@ -284,7 +284,8 @@ impl<'c> Vm<'c> {
                 } => {
                     let base = regs[*base as usize].try_p().map_err(err)?;
                     let idx = regs[*idx as usize].try_i().map_err(err)?;
-                    regs[*dst as usize] = Value::P((base as i64 + idx * elem) as u64);
+                    regs[*dst as usize] =
+                        Value::P((base as i64).wrapping_add(idx.wrapping_mul(*elem)) as u64);
                     pc += 1;
                 }
                 Op::Load { kind, dst, addr } => {
@@ -539,6 +540,18 @@ exit:
             "define double @f(double* %p) {\nentry:\n  %a = getelementptr double, double* %p, i64 99\n  %v = load double, double* %a\n  ret double %v\n}\n",
         );
         assert_parity(&oob, "f", &[Value::P(8)]);
+        // Out-of-bounds access whose address wrapped below zero.
+        let wrapped = compile_text(
+            "define double @f(double* %p) {\nentry:\n  %a = getelementptr double, double* %p, i64 -2\n  %v = load double, double* %a\n  ret double %v\n}\n",
+        );
+        assert_parity(&wrapped, "f", &[Value::P(8)]);
+        let code = compile_module(&wrapped);
+        let mut vm = Vm::new(&code);
+        let e = vm.run("f", &[Value::P(8)]).unwrap_err();
+        assert_eq!(
+            e.message,
+            "out-of-bounds access at 18446744073709551608 (+8)"
+        );
         // Unknown callee.
         let unknown = compile_text(
             "define double @f(double %x) {\nentry:\n  %r = call double @nope(double %x)\n  ret double %r\n}\n",
@@ -549,6 +562,18 @@ exit:
             "define double @f(double %x) {\nentry:\n  %r = call double @sqrt(double %x, double %x)\n  ret double %r\n}\n",
         );
         assert_parity(&arity, "f", &[Value::F(4.0)]);
+    }
+
+    #[test]
+    fn gep_offsets_wrap_like_the_walker_in_every_profile() {
+        // 2^62 doubles is 2^65 bytes: the offset wraps to zero, so the
+        // load reads %buf itself (debug builds used to panic instead).
+        let m = compile_text(
+            "define double @f() {\nentry:\n  %buf = alloca double, i64 1\n  store double 1.0, double* %buf\n  %a = getelementptr double, double* %buf, i64 4611686018427387904\n  %v = load double, double* %a\n  ret double %v\n}\n",
+        );
+        assert_parity(&m, "f", &[]);
+        let code = compile_module(&m);
+        assert_eq!(Vm::new(&code).run("f", &[]).unwrap(), Value::F(1.0));
     }
 
     #[test]

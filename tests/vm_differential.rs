@@ -207,6 +207,40 @@ fn error_paths_agree_bitwise() {
         ))
     );
     assert_eq!(t.steps, MAX_CALL_DEPTH as u64 + 1);
+    // A gep below address 0 wraps to the top of the address space; the
+    // load is out of bounds there (the bounds check must not overflow).
+    let m = ssair::parser::parse_module(
+        "define double @f(double* %p) {\nentry:\n  %a = getelementptr double, double* %p, i64 -2\n  %v = load double, double* %a\n  ret double %v\n}\n",
+    )
+    .unwrap();
+    assert_verified(&m, "address wrap");
+    let t = assert_parity(&m, "f", &|_, _| vec![Value::P(8)], 0, None, "address wrap");
+    assert_eq!(
+        t.result,
+        Err("execution error: out-of-bounds access at 18446744073709551608 (+8)".into())
+    );
+    assert_eq!(t.steps, 2);
+}
+
+/// `gep` arithmetic wraps in every build profile: an index whose byte
+/// offset overflows `i64` lands where two's-complement arithmetic puts
+/// it (here back on `%p`) on both executors.
+#[test]
+fn gep_offsets_wrap_identically_in_every_profile() {
+    let m = ssair::parser::parse_module(
+        "define double @f(double* %p) {\nentry:\n  %a = getelementptr double, double* %p, i64 4611686018427387904\n  %v = load double, double* %a\n  ret double %v\n}\n",
+    )
+    .unwrap();
+    assert_verified(&m, "gep wrap");
+    let t = assert_parity(
+        &m,
+        "f",
+        &|mem, _| vec![Value::P(mem.alloc_f64_slice(&[1.0]))],
+        0,
+        None,
+        "gep wrap",
+    );
+    assert_eq!(t.result, Ok(value_bits(Value::F(1.0))));
 }
 
 /// Step-limit exhaustion is bitwise too: sweep budgets across a loop so
