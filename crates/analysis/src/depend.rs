@@ -18,7 +18,7 @@
 //! demoted to may-alias — which is how the "same array twice" adversary
 //! is kept off the parallel path.
 
-use crate::legality::{address_root, classify_base, MemoryBase};
+use crate::legality::{classify_base, MemoryBase};
 use ssair::analysis::{AffineIndex, AffineMap, Analyses, Bound, Coeff};
 use ssair::{BlockId, Function, Module, Opcode, Type, ValueId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -174,7 +174,7 @@ impl ParamAliasFacts {
 
 /// What one call site shows about two passed pointers.
 fn call_site_fact(caller: &Function, a: ValueId, b: ValueId) -> PairFact {
-    let (ra, rb) = (address_root(caller, a), address_root(caller, b));
+    let (ra, rb) = (caller.address_root(a), caller.address_root(b));
     if ra == rb {
         return PairFact::SomeSame;
     }
@@ -190,15 +190,12 @@ fn call_site_fact(caller: &Function, a: ValueId, b: ValueId) -> PairFact {
 }
 
 /// Classifies two base pointers of `f` (function name needed for
-/// call-site fact lookup). `facts` is `None` in per-function contexts;
-/// passing module-wide facts upgrades or demotes parameter pairs.
+/// call-site fact lookup). Per-function contexts pass
+/// `&ParamAliasFacts::default()`, which leaves every parameter pair an
+/// assumption; module-wide facts ([`ParamAliasFacts::of_module`]) upgrade
+/// or demote parameter pairs.
 #[must_use]
-pub fn classify_alias(
-    f: &Function,
-    facts: Option<&ParamAliasFacts>,
-    a: ValueId,
-    b: ValueId,
-) -> AliasClass {
+pub fn classify_alias(f: &Function, facts: &ParamAliasFacts, a: ValueId, b: ValueId) -> AliasClass {
     if a == b {
         return AliasClass::MustAlias;
     }
@@ -218,13 +215,11 @@ pub fn classify_alias(
         }
     }
     match (ca, cb) {
-        (MemoryBase::Param(i), MemoryBase::Param(j)) => {
-            match facts.and_then(|fx| fx.lookup(&f.name, i, j)) {
-                Some(PairFact::AllDistinctProven) => AliasClass::NoAliasProven,
-                Some(PairFact::SomeSame) => AliasClass::MustAlias,
-                Some(PairFact::Unproven) | None => AliasClass::NoAliasAssumed,
-            }
-        }
+        (MemoryBase::Param(i), MemoryBase::Param(j)) => match facts.lookup(&f.name, i, j) {
+            Some(PairFact::AllDistinctProven) => AliasClass::NoAliasProven,
+            Some(PairFact::SomeSame) => AliasClass::MustAlias,
+            Some(PairFact::Unproven) | None => AliasClass::NoAliasAssumed,
+        },
         _ => AliasClass::MayAlias,
     }
 }
@@ -555,7 +550,7 @@ pub fn classify_region(
     map: &AffineMap,
     blocks: &[BlockId],
     outer_iv: ValueId,
-    facts: Option<&ParamAliasFacts>,
+    facts: &ParamAliasFacts,
 ) -> SafetyCertificate {
     let Some(iv) = map.iv(outer_iv) else {
         return SafetyCertificate::serial(format!(
@@ -587,7 +582,7 @@ pub fn classify_region(
             accesses.push(Access {
                 inst: v,
                 ptr,
-                root: address_root(f, ptr),
+                root: f.address_root(ptr),
                 index: map.address_of(f, ptr).map(|a| a.index),
                 is_store,
             });
@@ -608,7 +603,7 @@ pub fn classify_region(
                     && (i.operands[0] == st.ptr
                         || (st.index.is_some()
                             && map.address_of(f, i.operands[0]).map(|a| a.index) == st.index
-                            && address_root(f, i.operands[0]) == st.root))
+                            && f.address_root(i.operands[0]) == st.root))
                 {
                     return Some(v);
                 }
@@ -738,7 +733,14 @@ x:
         let (f, an) = prep(STENCIL);
         let map = AffineMap::new(&f, &an);
         let blocks: Vec<BlockId> = f.block_ids().collect();
-        let cert = classify_region(&f, &an, &map, &blocks, get(&f, "i"), None);
+        let cert = classify_region(
+            &f,
+            &an,
+            &map,
+            &blocks,
+            get(&f, "i"),
+            &ParamAliasFacts::default(),
+        );
         assert_eq!(
             cert.safety,
             ParallelSafety::IndependentIterations,
@@ -765,18 +767,15 @@ x:
         let facts = ParamAliasFacts::of_module(&m);
         let f = m.function("sten").unwrap();
         let (inp, out) = (get(f, "in"), get(f, "out"));
-        assert_eq!(
-            classify_alias(f, Some(&facts), inp, out),
-            AliasClass::MustAlias
-        );
+        assert_eq!(classify_alias(f, &facts, inp, out), AliasClass::MustAlias);
         // Without facts the restrict model assumes distinctness...
         assert_eq!(
-            classify_alias(f, None, inp, out),
+            classify_alias(f, &ParamAliasFacts::default(), inp, out),
             AliasClass::NoAliasAssumed
         );
         // ...and with them the region is no longer parallel-safe.
         let blocks: Vec<BlockId> = f.block_ids().collect();
-        let cert = classify_region(f, &an, &map, &blocks, get(f, "i"), Some(&facts));
+        let cert = classify_region(f, &an, &map, &blocks, get(f, "i"), &facts);
         assert_eq!(cert.safety, ParallelSafety::Serial, "{}", cert.reason);
     }
 
@@ -797,7 +796,7 @@ x:
         let facts = ParamAliasFacts::of_module(&m);
         let f = m.function("sten").unwrap();
         assert_eq!(
-            classify_alias(f, Some(&facts), get(f, "in"), get(f, "out")),
+            classify_alias(f, &facts, get(f, "in"), get(f, "out")),
             AliasClass::NoAliasProven
         );
     }
@@ -826,7 +825,14 @@ x:
         );
         let map = AffineMap::new(&f, &an);
         let blocks: Vec<BlockId> = f.block_ids().collect();
-        let cert = classify_region(&f, &an, &map, &blocks, get(&f, "i"), None);
+        let cert = classify_region(
+            &f,
+            &an,
+            &map,
+            &blocks,
+            get(&f, "i"),
+            &ParamAliasFacts::default(),
+        );
         assert_eq!(cert.safety, ParallelSafety::Serial, "{}", cert.reason);
     }
 
@@ -869,7 +875,14 @@ done:
         let outer = map.iv(get(&f, "i")).unwrap().loop_idx;
         assert!(disjoint_across(&f, &an, &map, outer, &idx, &idx));
         let blocks: Vec<BlockId> = f.block_ids().collect();
-        let cert = classify_region(&f, &an, &map, &blocks, get(&f, "i"), None);
+        let cert = classify_region(
+            &f,
+            &an,
+            &map,
+            &blocks,
+            get(&f, "i"),
+            &ParamAliasFacts::default(),
+        );
         assert_eq!(
             cert.safety,
             ParallelSafety::IndependentIterations,
@@ -921,7 +934,14 @@ done:
         let outer = map.iv(get(&f, "i")).unwrap().loop_idx;
         assert!(disjoint_across(&f, &an, &map, outer, &idx, &idx));
         let blocks: Vec<BlockId> = f.block_ids().collect();
-        let cert = classify_region(&f, &an, &map, &blocks, get(&f, "i"), None);
+        let cert = classify_region(
+            &f,
+            &an,
+            &map,
+            &blocks,
+            get(&f, "i"),
+            &ParamAliasFacts::default(),
+        );
         assert_eq!(
             cert.safety,
             ParallelSafety::IndependentIterations,
@@ -1015,7 +1035,14 @@ done:
         );
         let map = AffineMap::new(&f, &an);
         let blocks: Vec<BlockId> = f.block_ids().collect();
-        let cert = classify_region(&f, &an, &map, &blocks, get(&f, "i"), None);
+        let cert = classify_region(
+            &f,
+            &an,
+            &map,
+            &blocks,
+            get(&f, "i"),
+            &ParamAliasFacts::default(),
+        );
         assert_eq!(cert.safety, ParallelSafety::Serial, "{}", cert.reason);
     }
 
@@ -1044,7 +1071,14 @@ x2:
         );
         let map = AffineMap::new(&f, &an);
         let blocks: Vec<BlockId> = f.block_ids().collect();
-        let cert = classify_region(&f, &an, &map, &blocks, get(&f, "i"), None);
+        let cert = classify_region(
+            &f,
+            &an,
+            &map,
+            &blocks,
+            get(&f, "i"),
+            &ParamAliasFacts::default(),
+        );
         assert_eq!(
             cert.safety,
             ParallelSafety::ReductionOnly,
@@ -1080,7 +1114,14 @@ x:
         );
         let map = AffineMap::new(&f, &an);
         let blocks: Vec<BlockId> = f.block_ids().collect();
-        let cert = classify_region(&f, &an, &map, &blocks, get(&f, "i"), None);
+        let cert = classify_region(
+            &f,
+            &an,
+            &map,
+            &blocks,
+            get(&f, "i"),
+            &ParamAliasFacts::default(),
+        );
         assert_eq!(
             cert.safety,
             ParallelSafety::ReductionOnly,

@@ -61,62 +61,6 @@ impl std::fmt::Display for LegalityError {
     }
 }
 
-/// The memory footprint of a block region, at base-object granularity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionSummary {
-    /// Address roots of every load in the region.
-    pub read_roots: BTreeSet<ValueId>,
-    /// Address roots of every store in the region.
-    pub write_roots: BTreeSet<ValueId>,
-    /// Call instructions targeting non-whitelisted callees.
-    pub impure_calls: Vec<ValueId>,
-}
-
-/// Follows `gep` chains to the underlying object pointer.
-#[must_use]
-pub fn address_root(f: &Function, mut v: ValueId) -> ValueId {
-    loop {
-        match f.instr(v) {
-            Some(i) if i.opcode == Opcode::Gep => v = i.operands[0],
-            _ => return v,
-        }
-    }
-}
-
-/// Summarizes the memory behaviour of `blocks`.
-#[must_use]
-pub fn region_memory_summary(f: &Function, blocks: &[BlockId]) -> RegionSummary {
-    let mut s = RegionSummary {
-        read_roots: BTreeSet::new(),
-        write_roots: BTreeSet::new(),
-        impure_calls: Vec::new(),
-    };
-    for &b in blocks {
-        for &v in &f.block(b).instrs {
-            let Some(i) = f.instr(v) else { continue };
-            match i.opcode {
-                Opcode::Load => {
-                    s.read_roots.insert(address_root(f, i.operands[0]));
-                }
-                Opcode::Store => {
-                    s.write_roots.insert(address_root(f, i.operands[1]));
-                }
-                Opcode::Call => {
-                    let pure = i
-                        .callee
-                        .as_deref()
-                        .is_some_and(|c| solver::PURE_CALLS.contains(&c));
-                    if !pure {
-                        s.impure_calls.push(v);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    s
-}
-
 /// Verifies that the region is pure outside its reported objects:
 ///
 /// * no impure calls;
@@ -136,8 +80,8 @@ pub fn check_region_purity(
     writes: &[ValueId],
 ) -> Result<(), LegalityError> {
     let named = |v: ValueId| classify_base(f, v) != MemoryBase::Unknown;
-    let read_roots: BTreeSet<ValueId> = reads.iter().map(|&v| address_root(f, v)).collect();
-    let write_roots: BTreeSet<ValueId> = writes.iter().map(|&v| address_root(f, v)).collect();
+    let read_roots: BTreeSet<ValueId> = reads.iter().map(|&v| f.address_root(v)).collect();
+    let write_roots: BTreeSet<ValueId> = writes.iter().map(|&v| f.address_root(v)).collect();
     for &r in read_roots.iter().chain(write_roots.iter()) {
         if !named(r) {
             return Err(LegalityError::UnnamedObject(f.display_name(r)));
@@ -152,13 +96,13 @@ pub fn check_region_purity(
             let Some(i) = f.instr(v) else { continue };
             match i.opcode {
                 Opcode::Load => {
-                    let root = address_root(f, i.operands[0]);
+                    let root = f.address_root(i.operands[0]);
                     if !read_roots.contains(&root) && !write_roots.contains(&root) && has_users(v) {
                         return Err(LegalityError::UnreportedRead(f.display_name(v)));
                     }
                 }
                 Opcode::Store => {
-                    let root = address_root(f, i.operands[1]);
+                    let root = f.address_root(i.operands[1]);
                     if !write_roots.contains(&root) {
                         return Err(LegalityError::UnreportedWrite(f.display_name(v)));
                     }
@@ -246,13 +190,13 @@ pub fn check_region_legality(
     reads: &[ValueId],
     writes: &[ValueId],
     outer_iv: Option<ValueId>,
-    facts: Option<&ParamAliasFacts>,
+    facts: &ParamAliasFacts,
 ) -> LegalityVerdict {
     if let Err(e) = check_region_purity(f, blocks, reads, writes) {
         return LegalityVerdict::rejected(e.to_string());
     }
-    let read_roots: BTreeSet<ValueId> = reads.iter().map(|&v| address_root(f, v)).collect();
-    let write_roots: BTreeSet<ValueId> = writes.iter().map(|&v| address_root(f, v)).collect();
+    let read_roots: BTreeSet<ValueId> = reads.iter().map(|&v| f.address_root(v)).collect();
+    let write_roots: BTreeSet<ValueId> = writes.iter().map(|&v| f.address_root(v)).collect();
     let mut evidence = Vec::new();
     let mut kind = VerdictKind::Proven;
     if write_roots.is_empty() {
@@ -307,8 +251,8 @@ pub fn check_region_legality(
             for &v in &f.block(b).instrs {
                 let Some(i) = f.instr(v) else { continue };
                 match i.opcode {
-                    Opcode::Load if address_root(f, i.operands[0]) == w => loads.push(v),
-                    Opcode::Store if address_root(f, i.operands[1]) == w => stores.push(v),
+                    Opcode::Load if f.address_root(i.operands[0]) == w => loads.push(v),
+                    Opcode::Store if f.address_root(i.operands[1]) == w => stores.push(v),
                     _ => {}
                 }
             }

@@ -135,15 +135,6 @@ fn scan_region(f: &Function, blocks: &[BlockId]) -> RegionScan {
     s
 }
 
-fn root_of(f: &Function, mut v: ValueId) -> ValueId {
-    loop {
-        match f.instr(v) {
-            Some(i) if i.opcode == Opcode::Gep => v = i.operands[0],
-            _ => return v,
-        }
-    }
-}
-
 fn address_affine(f: &Function, addr: ValueId) -> bool {
     match f.instr(addr) {
         Some(i) if i.opcode == Opcode::Gep => {
@@ -270,10 +261,10 @@ pub fn polly_detect(f: &Function) -> BaselineReport {
             let store_roots: Vec<ValueId> = scan
                 .stores
                 .iter()
-                .map(|&st| root_of(f, f.instr(st).expect("store").operands[1]))
+                .map(|&st| f.address_root(f.instr(st).expect("store").operands[1]))
                 .collect();
             let in_place = scan.loads.iter().any(|&ld| {
-                store_roots.contains(&root_of(f, f.instr(ld).expect("load").operands[0]))
+                store_roots.contains(&f.address_root(f.instr(ld).expect("load").operands[0]))
             });
             if !any_scalar_carry && !in_place {
                 report.finds.push((l.header, BaselineFind::Stencil));

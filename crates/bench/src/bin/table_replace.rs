@@ -45,9 +45,10 @@ fn main() {
     let mut verify_failures = 0u64;
     for b in benchsuite::all() {
         let module = minicc::compile(b.source, b.name).expect("bundled benchmark compiles");
-        let report =
-            idiomatch_core::transform_and_validate_module(&module, b.entry, b.setup, &seeds);
-        if let Err(errors) = ssair::verify::verify_module(&report.xform.module) {
+        let xf = xform::transform_module(&module);
+        let validation =
+            idiomatch_core::validate_transform(&module, &xf.module, b.entry, b.setup, &seeds);
+        if let Err(errors) = ssair::verify::verify_module(&xf.module) {
             verify_failures += 1;
             for e in &errors {
                 eprintln!("{}: IR VERIFICATION FAILED: {e}", b.name);
@@ -55,17 +56,17 @@ fn main() {
         }
         let mut row = Row {
             name: b.name,
-            detected: report.xform.outcomes.len(),
+            detected: xf.outcomes.len(),
             replaced: 0,
             unsupported: 0,
             unsound: 0,
             shadowed: 0,
             proven: 0,
             assumed: 0,
-            validated: report.validation.is_ok(),
-            failure: report.validation.err(),
+            validated: validation.is_ok(),
+            failure: validation.err(),
         };
-        for o in &report.xform.outcomes {
+        for o in &xf.outcomes {
             match &o.outcome {
                 Outcome::Replaced(rep) => {
                     row.replaced += 1;

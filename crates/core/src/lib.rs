@@ -8,13 +8,14 @@
 //! [`analyze`] runs detection, profiling and modeling for one benchmark
 //! and returns everything the evaluation harness (crates/bench) needs to
 //! regenerate the paper's tables and figures;
-//! [`transform_and_validate_module`] performs *every* detected
-//! replacement ([`xform::transform_module`]) and checks the transformed
-//! program against the original by seeded differential execution
+//! [`run_pipeline`] performs *every* detected replacement
+//! ([`xform::transform_instances`]) and checks the transformed program
+//! against the original by seeded differential execution
 //! ([`validate_transform`]: element-wise bitwise comparison of every
-//! program array plus the entry return value).
-//! [`transform_and_validate`] is the single-instance convenience used by
-//! the walkthrough examples.
+//! program array plus the entry return value); callers holding a compiled
+//! module pair [`xform::transform_module`] with [`validate_transform`]
+//! directly. [`transform_and_validate`] is the single-instance
+//! convenience used by the walkthrough examples.
 
 use hetero::{Platform, Workload};
 use idioms::{IdiomInstance, IdiomKind};
@@ -617,7 +618,7 @@ pub fn check_reversal_oracle(
         };
         let an = ssair::analysis::Analyses::new(f);
         let map = ssair::analysis::AffineMap::new(f, &an);
-        let cert = analysis::classify_region(f, &an, &map, &inst.blocks, iv, Some(&facts));
+        let cert = analysis::classify_region(f, &an, &map, &inst.blocks, iv, &facts);
         if cert.safety != idioms::ParallelSafety::IndependentIterations {
             continue;
         }
@@ -630,37 +631,6 @@ pub fn check_reversal_oracle(
         }
     }
     Ok(oracle)
-}
-
-/// Whole-module transformation plus differential validation: detects all
-/// idiom instances, applies every non-overlapping replacement
-/// ([`xform::transform_module`]) and validates the surviving module
-/// against the original under every seed.
-#[derive(Debug)]
-pub struct ModuleReport {
-    /// The transformation outcomes (transformed module + per-instance
-    /// replaced/shadowed/failed records).
-    pub xform: xform::ModuleXform,
-    /// The differential-validation verdict over all seeds.
-    pub validation: Result<ValidationSummary, ValidationError>,
-}
-
-/// Runs detect → transform-all → execute-and-compare for one program.
-/// The validation runs even when nothing was replaced (it then checks
-/// interpreter determinism for free).
-#[must_use]
-pub fn transform_and_validate_module(
-    module: &Module,
-    entry: &str,
-    setup: impl Fn(&mut Memory, u64) -> Vec<Value>,
-    seeds: &[u64],
-) -> ModuleReport {
-    let xf = xform::transform_module(module);
-    let validation = validate_transform(module, &xf.module, entry, setup, seeds);
-    ModuleReport {
-        xform: xf,
-        validation,
-    }
 }
 
 /// The full Figure-1 pipeline over one C source program, as one reusable
@@ -819,7 +789,13 @@ pub fn transform_and_validate(
         .first()
         .ok_or_else(|| format!("no {kind:?} instance found"))?;
     let mut transformed = module.clone();
-    let rep = xform::apply_replacement(&mut transformed, inst, 0).map_err(|e| e.to_string())?;
+    let rep = xform::apply_replacement(
+        &mut transformed,
+        inst,
+        0,
+        &analysis::ParamAliasFacts::default(),
+    )
+    .map_err(|e| e.to_string())?;
     validate_transform(
         module,
         &transformed,
@@ -903,7 +879,13 @@ mod tests {
             .find(|i| i.kind == kind)
             .expect("instance detected");
         let mut transformed = module.clone();
-        xform::apply_replacement(&mut transformed, &inst, 0).expect("replaces");
+        xform::apply_replacement(
+            &mut transformed,
+            &inst,
+            0,
+            &analysis::ParamAliasFacts::default(),
+        )
+        .expect("replaces");
         corrupt(&mut transformed);
         (module, transformed)
     }

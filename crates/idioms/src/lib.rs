@@ -862,7 +862,14 @@ fn instance_from_solution(
         .loop_with_header(header)
         .map(|l| l.blocks.clone())
         .unwrap_or_else(|| vec![header]);
-    let certificate = analysis::classify_region(f, an, affine, &blocks, outer_iter, None);
+    let certificate = analysis::classify_region(
+        f,
+        an,
+        affine,
+        &blocks,
+        outer_iter,
+        &analysis::ParamAliasFacts::default(),
+    );
     Some(IdiomInstance {
         kind,
         function: f.name.clone(),

@@ -69,8 +69,8 @@ pub fn eliminate_redundant_loads(f: &mut Function) -> usize {
                 }
                 Opcode::Store => {
                     let (val, addr) = (i.operands[0], i.operands[1]);
-                    let root = address_root(f, addr);
-                    known.retain(|&a, _| a == addr || address_root(f, a) != root);
+                    let root = f.address_root(addr);
+                    known.retain(|&a, _| a == addr || f.address_root(a) != root);
                     known.insert(addr, val);
                 }
                 Opcode::Call => known.clear(),
@@ -352,17 +352,6 @@ fn unique_preheader(f: &Function, an: &Analyses, l: &ssair::analysis::Loop) -> O
     }
 }
 
-/// The root object of an address: the alloca or argument the gep chain
-/// starts from.
-fn address_root(f: &Function, mut v: ValueId) -> ValueId {
-    loop {
-        match f.instr(v) {
-            Some(i) if i.opcode == Opcode::Gep => v = i.operands[0],
-            _ => return v,
-        }
-    }
-}
-
 /// Promotes single-location read-modify-write loops to register
 /// accumulation:
 ///
@@ -433,7 +422,7 @@ fn promote_one(f: &mut Function) -> bool {
             if an.layout.block_of(addr).is_some_and(|b| l.contains(b)) {
                 continue;
             }
-            let root = address_root(f, addr);
+            let root = f.address_root(addr);
             // The store must execute every iteration.
             let sb = an.layout.block_of(store).expect("placed");
             if !an.dom.dominates(sb, latch) {
@@ -442,7 +431,7 @@ fn promote_one(f: &mut Function) -> bool {
             // No other store in the loop may alias; same-root loads must use
             // the identical address value.
             let other_store_conflicts = stores.iter().any(|&s| {
-                s != store && address_root(f, f.instr(s).expect("store").operands[1]) == root
+                s != store && f.address_root(f.instr(s).expect("store").operands[1]) == root
             });
             if other_store_conflicts {
                 continue;
@@ -454,7 +443,7 @@ fn promote_one(f: &mut Function) -> bool {
                 .collect();
             let aliasing_other_load = loads.iter().any(|&ld| {
                 let a = f.instr(ld).expect("load").operands[0];
-                a != addr && address_root(f, a) == root
+                a != addr && f.address_root(a) == root
             });
             if aliasing_other_load {
                 continue;

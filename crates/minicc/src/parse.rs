@@ -4,17 +4,45 @@ use crate::ast::*;
 use crate::lexer::{lex, Spanned, Tok};
 use crate::CompileError;
 
+/// How deep one function's syntax may nest. A statement inside another
+/// statement is one level deeper; so is every sub-expression inside an
+/// expression (parenthesized, subscript, call-argument, unary and ternary
+/// operands, and each link of an operator chain such as `x + x + … + x`,
+/// which parses to a left-deep tree). Parsing, lowering and dropping the
+/// tree all recurse once per level, so an unbounded input overflows the
+/// thread's stack and aborts the whole process; past this bound it is a
+/// [`CompileError`] instead.
+///
+/// Measured on a 2 MiB debug-build thread with the bound lifted, the
+/// shallowest overflow was nested parentheses at 115 levels (calls and
+/// right-nested chains 115, subscripts 129, a flat `+` chain 278, nested
+/// ternaries 278, nested `if`s 352, loops 375, negations 400, blocks
+/// 452). 64 levels, one more than C's minimum translation limit of 63
+/// nested parenthesized expressions, keep every shape under 60% of that
+/// stack; the 21 benchmarks nest at most 15 deep and generated programs
+/// at most 18.
+pub const MAX_NESTING: usize = 64;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Open nesting levels: enclosing statements and sub-expressions.
+    depth: usize,
 }
 
 type Result<T> = std::result::Result<T, CompileError>;
 
+/// An expression and the height of its tree (a leaf has height 1).
+type Node = (Expr, usize);
+
 /// Parses a whole translation unit.
 pub fn parse_program(source: &str) -> Result<Program> {
     let toks = lex(source)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut prog = Program::default();
     while !matches!(p.peek(), Tok::Eof) {
         prog.funcs.push(p.funcdef()?);
@@ -42,6 +70,31 @@ impl Parser {
             line: self.line(),
             message: msg.into(),
         }
+    }
+
+    fn too_deep(&self) -> CompileError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Runs `parse` one nesting level deeper; fails past [`MAX_NESTING`]
+    /// before recursing any further.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
+    /// A compound expression of height `height`, checked against
+    /// [`MAX_NESTING`] together with the levels enclosing it.
+    fn node(&self, e: Expr, height: usize) -> Result<Node> {
+        if self.depth + height > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok((e, height))
     }
 
     fn bump(&mut self) -> Tok {
@@ -141,6 +194,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt> {
         let line = self.line();
         if self.eat_punct("{") {
             return Ok(Stmt::Block(self.block_body()?));
@@ -359,118 +416,118 @@ impl Parser {
     // ----- expressions, precedence climbing -----
 
     fn expr(&mut self) -> Result<Expr> {
-        self.ternary()
+        Ok(self.sub_expr()?.0)
     }
 
-    fn ternary(&mut self) -> Result<Expr> {
-        let cond = self.or_expr()?;
+    /// A full expression one nesting level down.
+    fn sub_expr(&mut self) -> Result<Node> {
+        self.nested(Self::ternary)
+    }
+
+    fn ternary(&mut self) -> Result<Node> {
+        let (cond, hc) = self.or_expr()?;
         if self.eat_punct("?") {
-            let then = self.expr()?;
+            let (then, ht) = self.sub_expr()?;
             self.expect_punct(":")?;
-            let other = self.ternary()?;
-            Ok(Expr::Ternary {
+            let (other, ho) = self.nested(Self::ternary)?;
+            let e = Expr::Ternary {
                 cond: Box::new(cond),
                 then: Box::new(then),
                 other: Box::new(other),
-            })
+            };
+            self.node(e, 1 + hc.max(ht).max(ho))
         } else {
-            Ok(cond)
+            Ok((cond, hc))
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_punct("||") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
+    /// A left-associative chain of `operand`s joined by the operators
+    /// `op` recognises; `join` builds each link.
+    fn chain<O>(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Node>,
+        op: fn(&mut Self) -> Option<O>,
+        join: fn(O, Box<Expr>, Box<Expr>) -> Expr,
+    ) -> Result<Node> {
+        let (mut lhs, mut h) = operand(self)?;
+        while let Some(o) = op(self) {
+            let (rhs, hr) = operand(self)?;
+            (lhs, h) = self.node(join(o, Box::new(lhs), Box::new(rhs)), 1 + h.max(hr))?;
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
-        let mut lhs = self.equality()?;
-        while self.eat_punct("&&") {
-            let rhs = self.equality()?;
-            lhs = Expr::And(Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    /// The first of `ops` at the cursor, consumed.
+    fn eat_op<O: Copy>(&mut self, ops: &[(&str, O)]) -> Option<O> {
+        ops.iter().find(|(p, _)| self.eat_punct(p)).map(|&(_, o)| o)
     }
 
-    fn equality(&mut self) -> Result<Expr> {
-        let mut lhs = self.relational()?;
-        loop {
-            let op = if self.eat_punct("==") {
-                CmpOp::Eq
-            } else if self.eat_punct("!=") {
-                CmpOp::Ne
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.relational()?;
-            lhs = Expr::Cmp(op, Box::new(lhs), Box::new(rhs));
-        }
+    fn or_expr(&mut self) -> Result<Node> {
+        self.chain(
+            Self::and_expr,
+            |p| p.eat_op(&[("||", ())]),
+            |(), l, r| Expr::Or(l, r),
+        )
     }
 
-    fn relational(&mut self) -> Result<Expr> {
-        let mut lhs = self.additive()?;
-        loop {
-            let op = if self.eat_punct("<=") {
-                CmpOp::Le
-            } else if self.eat_punct(">=") {
-                CmpOp::Ge
-            } else if self.eat_punct("<") {
-                CmpOp::Lt
-            } else if self.eat_punct(">") {
-                CmpOp::Gt
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.additive()?;
-            lhs = Expr::Cmp(op, Box::new(lhs), Box::new(rhs));
-        }
+    fn and_expr(&mut self) -> Result<Node> {
+        self.chain(
+            Self::equality,
+            |p| p.eat_op(&[("&&", ())]),
+            |(), l, r| Expr::And(l, r),
+        )
     }
 
-    fn additive(&mut self) -> Result<Expr> {
-        let mut lhs = self.multiplicative()?;
-        loop {
-            let op = if self.eat_punct("+") {
-                BinOp::Add
-            } else if self.eat_punct("-") {
-                BinOp::Sub
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.multiplicative()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+    fn equality(&mut self) -> Result<Node> {
+        self.chain(
+            Self::relational,
+            |p| p.eat_op(&[("==", CmpOp::Eq), ("!=", CmpOp::Ne)]),
+            Expr::Cmp,
+        )
     }
 
-    fn multiplicative(&mut self) -> Result<Expr> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = if self.eat_punct("*") {
-                BinOp::Mul
-            } else if self.eat_punct("/") {
-                BinOp::Div
-            } else if self.eat_punct("%") {
-                BinOp::Rem
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.unary()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+    fn relational(&mut self) -> Result<Node> {
+        self.chain(
+            Self::additive,
+            |p| {
+                p.eat_op(&[
+                    ("<=", CmpOp::Le),
+                    (">=", CmpOp::Ge),
+                    ("<", CmpOp::Lt),
+                    (">", CmpOp::Gt),
+                ])
+            },
+            Expr::Cmp,
+        )
     }
 
-    fn unary(&mut self) -> Result<Expr> {
+    fn additive(&mut self) -> Result<Node> {
+        self.chain(
+            Self::multiplicative,
+            |p| p.eat_op(&[("+", BinOp::Add), ("-", BinOp::Sub)]),
+            Expr::Bin,
+        )
+    }
+
+    fn multiplicative(&mut self) -> Result<Node> {
+        self.chain(
+            Self::unary,
+            |p| p.eat_op(&[("*", BinOp::Mul), ("/", BinOp::Div), ("%", BinOp::Rem)]),
+            Expr::Bin,
+        )
+    }
+
+    fn unary(&mut self) -> Result<Node> {
         if self.eat_punct("-") {
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            let (e, h) = self.nested(Self::unary)?;
+            return self.node(Expr::Neg(Box::new(e)), h + 1);
         }
         if self.eat_punct("!") {
-            return Ok(Expr::Not(Box::new(self.unary()?)));
+            let (e, h) = self.nested(Self::unary)?;
+            return self.node(Expr::Not(Box::new(e)), h + 1);
         }
         if self.eat_punct("+") {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         // Cast: '(' type ')' unary — lookahead for a type keyword.
         if matches!(self.peek(), Tok::Punct("("))
@@ -479,65 +536,65 @@ impl Parser {
             self.bump(); // (
             let ty = self.base_type()?;
             self.expect_punct(")")?;
-            let expr = self.unary()?;
-            return Ok(Expr::Cast {
+            let (expr, h) = self.nested(Self::unary)?;
+            let e = Expr::Cast {
                 ty,
                 expr: Box::new(expr),
-            });
+            };
+            return self.node(e, h + 1);
         }
         self.postfix()
     }
 
-    fn postfix(&mut self) -> Result<Expr> {
-        let mut e = self.primary()?;
-        loop {
-            if self.eat_punct("[") {
-                let idx = self.expr()?;
-                self.expect_punct("]")?;
-                match e {
-                    Expr::Var(name) => {
-                        e = Expr::Index {
-                            base: name,
-                            indices: vec![idx],
-                        }
-                    }
-                    Expr::Index { base, mut indices } => {
-                        indices.push(idx);
-                        e = Expr::Index { base, indices };
-                    }
-                    _ => return Err(self.err("can only index variables")),
+    fn postfix(&mut self) -> Result<Node> {
+        let (mut e, mut h) = self.primary()?;
+        while self.eat_punct("[") {
+            let (idx, hi) = self.sub_expr()?;
+            self.expect_punct("]")?;
+            let indexed = match e {
+                Expr::Var(name) => Expr::Index {
+                    base: name,
+                    indices: vec![idx],
+                },
+                Expr::Index { base, mut indices } => {
+                    indices.push(idx);
+                    Expr::Index { base, indices }
                 }
-            } else {
-                return Ok(e);
-            }
+                _ => return Err(self.err("can only index variables")),
+            };
+            (e, h) = self.node(indexed, h.max(hi + 1))?;
         }
+        Ok((e, h))
     }
 
-    fn primary(&mut self) -> Result<Expr> {
+    fn primary(&mut self) -> Result<Node> {
         let line = self.line();
         match self.bump() {
-            Tok::Int(v) => Ok(Expr::IntLit(v)),
-            Tok::Float(v, f32_suffix) => Ok(Expr::FloatLit(v, f32_suffix)),
+            Tok::Int(v) => Ok((Expr::IntLit(v), 1)),
+            Tok::Float(v, f32_suffix) => Ok((Expr::FloatLit(v, f32_suffix), 1)),
             Tok::Punct("(") => {
-                let e = self.expr()?;
+                let e = self.sub_expr()?;
                 self.expect_punct(")")?;
                 Ok(e)
             }
             Tok::Ident(name) => {
                 if self.eat_punct("(") {
                     let mut args = Vec::new();
+                    let mut h = 1;
                     if !self.eat_punct(")") {
                         loop {
-                            args.push(self.expr()?);
+                            let (arg, ha) = self.sub_expr()?;
+                            args.push(arg);
+                            h = h.max(ha + 1);
                             if self.eat_punct(")") {
                                 break;
                             }
                             self.expect_punct(",")?;
                         }
                     }
-                    Ok(Expr::Call { name, args })
+                    self.node(Expr::Call { name, args }, h)
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 1))
                 }
             }
             other => Err(CompileError {

@@ -548,22 +548,10 @@ impl<'f> Solver<'f> {
                 _ => None,
             }
         };
-        let (Some(mut ra), Some(mut rb)) = (addr(a), addr(b)) else {
+        let (Some(ra), Some(rb)) = (addr(a), addr(b)) else {
             return false;
         };
-        loop {
-            match self.f.instr(ra) {
-                Some(i) if i.opcode == Opcode::Gep => ra = i.operands[0],
-                _ => break,
-            }
-        }
-        loop {
-            match self.f.instr(rb) {
-                Some(i) if i.opcode == Opcode::Gep => rb = i.operands[0],
-                _ => break,
-            }
-        }
-        ra == rb
+        self.f.address_root(ra) == self.f.address_root(rb)
     }
 
     // ----- candidate generation -----

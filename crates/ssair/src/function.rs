@@ -458,6 +458,19 @@ impl Function {
         self.instr(id).map(|i| i.opcode)
     }
 
+    /// The memory object an address points into: follows `gep` chains
+    /// from `addr` back to their base pointer (an argument, an `alloca`,
+    /// or whatever non-`gep` value starts the chain).
+    #[must_use]
+    pub fn address_root(&self, mut addr: ValueId) -> ValueId {
+        loop {
+            match self.instr(addr) {
+                Some(i) if i.opcode == Opcode::Gep => addr = i.operands[0],
+                _ => return addr,
+            }
+        }
+    }
+
     /// `true` if `id` is an instruction.
     #[must_use]
     pub fn is_instruction(&self, id: ValueId) -> bool {

@@ -27,8 +27,14 @@
 //! of the module and only committed on success, so an [`XformError`]
 //! (unsupported shape, §6.3 unsoundness) never leaves half-rewritten
 //! functions or orphan generated kernels behind for later instances.
+//!
+//! Every attempt goes through the one replacement path,
+//! [`apply_replacement`], whose §6.3 admission check reads the module's
+//! call-site alias facts ([`ParamAliasFacts::of_module`]). The driver
+//! computes those facts once, on the pristine module, and hands the same
+//! set to every attempt.
 
-use crate::replace::{apply_replacement_with, Replacement, XformError};
+use crate::replace::{apply_replacement, Replacement, XformError};
 use analysis::ParamAliasFacts;
 use idioms::{IdiomInstance, IdiomKind};
 use ssair::Module;
@@ -193,7 +199,7 @@ pub fn transform_instances(module: &Module, instances: Vec<IdiomInstance>) -> Mo
                 "instance region no longer exists after earlier replacements".into(),
             ))
         } else {
-            match apply_replacement_with(&mut trial, &fresh, uid, Some(&facts)) {
+            match apply_replacement(&mut trial, &fresh, uid, &facts) {
                 Ok(rep) => {
                     uid += 1;
                     out = trial;

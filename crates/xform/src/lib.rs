@@ -15,10 +15,13 @@
 //!   the OpenCL that Lift/Halide would emit), and the original loop is
 //!   replaced with a call to the generated code.
 //!
-//! Before any rewrite, [`check_soundness`] re-validates the §6.3 side
-//! conditions natively (no unmatched side effects inside the replaced
-//! region, operands available at the call site); the tests exercise the
-//! rejection paths.
+//! [`apply_replacement`] is the one replacement path: before any rewrite
+//! it re-validates the §6.3 side conditions natively (no unmatched side
+//! effects inside the replaced region, no live-outs beyond the matched
+//! result, restrict-model legality under the module's call-site alias
+//! facts, operands available at the call site) and returns the verdict
+//! and parallel-safety certificate that admitted the rewrite; the tests
+//! exercise the rejection paths.
 //!
 //! [`transform_module`] scales the rewrite to the paper's actual claim —
 //! *all* detected instances of a module — resolving overlapping matches
@@ -38,9 +41,6 @@ pub mod tocsrc;
 
 pub use driver::{transform_instances, transform_module, InstanceOutcome, ModuleXform, Outcome};
 pub use outline::{outline_kernel, OutlinedKernel};
-pub use replace::{
-    apply_replacement, apply_replacement_with, check_soundness, check_soundness_with, Replacement,
-    XformError,
-};
+pub use replace::{apply_replacement, Replacement, XformError};
 pub use reverse::{reverse_loop, reversed_module};
 pub use tocsrc::ir_to_c;

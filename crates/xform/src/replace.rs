@@ -16,6 +16,7 @@ use idioms::{IdiomInstance, IdiomKind};
 use ssair::analysis::{AffineMap, Analyses};
 use ssair::pass::{eliminate_dead_code, remove_unreachable_blocks, replace_all_uses};
 use ssair::{Function, ICmpPred, Module, Opcode, Type, ValueId, ValueKind};
+use std::fmt::Write as _;
 
 /// A transformation failure. `Unsupported` marks idiom shapes the backend
 /// cannot express (detection stands, no rewrite happens); `Unsound` marks
@@ -56,25 +57,13 @@ pub struct Replacement {
     /// [`XformError::Unsound`] before anything commits).
     pub verdict: LegalityVerdict,
     /// The parallel-safety certificate of the excised region, refined
-    /// with whatever call-site alias facts the caller supplied.
+    /// with the call-site alias facts the caller supplied.
     pub certificate: SafetyCertificate,
 }
 
-/// The kind/callee/generated description of a committed rewrite; verdict
-/// and certificate are stamped on by [`apply_replacement_with`] from the
-/// admission check that already ran before the per-kind backend.
-fn base_replacement(kind: IdiomKind, callee: String, generated: Vec<String>) -> Replacement {
-    Replacement {
-        kind,
-        callee,
-        generated,
-        verdict: LegalityVerdict {
-            kind: VerdictKind::Rejected,
-            evidence: vec!["verdict not yet stamped".into()],
-        },
-        certificate: SafetyCertificate::serial("certificate not yet stamped"),
-    }
-}
+/// What a per-kind backend built: the call target and the names of the
+/// functions it appended to the module.
+type Built = (String, Vec<String>);
 
 fn bind(inst: &IdiomInstance, name: &str) -> Result<ValueId> {
     inst.value(name)
@@ -137,23 +126,18 @@ fn region_live_outs(f: &Function, an: &Analyses, inst: &IdiomInstance) -> Vec<Va
     outs
 }
 
-/// Re-validates the §6.3 side conditions for replacing `inst` in `f`:
-/// the region must contain no memory writes or impure calls beyond the
-/// matched ones, and no values other than the matched result may flow out
-/// of the region.
-pub fn check_soundness(f: &Function, inst: &IdiomInstance) -> Result<()> {
-    check_soundness_with(f, inst, None).map(|_| ())
-}
-
-/// [`check_soundness`] upgraded with module-level call-site alias facts:
-/// returns the evidence-carrying legality verdict that admits the
-/// replacement plus the region's refined parallel-safety certificate.
-/// A [`VerdictKind::Rejected`] verdict surfaces as
-/// [`XformError::Unsound`] — nothing is committed for it.
-pub fn check_soundness_with(
+/// Re-validates the §6.3 side conditions for replacing `inst` in `f`: the
+/// region must contain no memory writes or impure calls beyond the matched
+/// ones, no values other than the matched result may flow out of it, and
+/// its memory objects must pass the restrict-model legality check under
+/// the call-site alias `facts`. Returns the evidence-carrying verdict that
+/// admits the replacement plus the region's refined parallel-safety
+/// certificate; a [`VerdictKind::Rejected`] verdict surfaces as
+/// [`XformError::Unsound`].
+fn admit(
     f: &Function,
     inst: &IdiomInstance,
-    facts: Option<&ParamAliasFacts>,
+    facts: &ParamAliasFacts,
 ) -> Result<(LegalityVerdict, SafetyCertificate)> {
     let an = Analyses::new(f);
     let (stores, calls) = region_side_effects(f, inst);
@@ -185,7 +169,7 @@ pub fn check_soundness_with(
             let zeroed = const_f64(f, f.instr(s).expect("store").operands[0]) == Some(0.0);
             let init_zero = const_f64(f, bind(inst, "dot.init")?) == Some(0.0)
                 || matches!(f.opcode(bind(inst, "dot.init")?), Some(Opcode::Load));
-            if address_root(f, store_addr) == address_root(f, out_base) && zeroed && init_zero {
+            if f.address_root(store_addr) == f.address_root(out_base) && zeroed && init_zero {
                 continue;
             }
         }
@@ -246,15 +230,6 @@ pub fn check_soundness_with(
     Ok((verdict, certificate))
 }
 
-fn address_root(f: &Function, mut v: ValueId) -> ValueId {
-    loop {
-        match f.instr(v) {
-            Some(i) if i.opcode == Opcode::Gep => v = i.operands[0],
-            _ => return v,
-        }
-    }
-}
-
 /// Whether `v` dominates the instruction `site` (constants/arguments
 /// always qualify).
 fn available_at(f: &Function, an: &Analyses, v: ValueId, site: ValueId) -> bool {
@@ -262,35 +237,26 @@ fn available_at(f: &Function, an: &Analyses, v: ValueId, site: ValueId) -> bool 
 }
 
 /// Applies the best available replacement of `inst` inside
-/// `module.functions[..]` (looked up by `inst.function`). Appends any
-/// generated functions to the module. `uid` disambiguates generated names.
+/// `module.functions[..]` (looked up by `inst.function`), after the §6.3
+/// admission check under the module's call-site alias `facts`
+/// ([`ParamAliasFacts::of_module`]; pass `&ParamAliasFacts::default()` to
+/// judge the function on its own). Appends any generated functions to the
+/// module. `uid` disambiguates generated names. The returned
+/// [`Replacement`] carries the verdict and refined certificate that
+/// admitted it.
 pub fn apply_replacement(
     module: &mut Module,
     inst: &IdiomInstance,
     uid: usize,
-) -> Result<Replacement> {
-    apply_replacement_with(module, inst, uid, None)
-}
-
-/// [`apply_replacement`] with module-level call-site alias facts folded
-/// into the admission check; the returned [`Replacement`] carries the
-/// verdict and refined certificate that admitted it.
-pub fn apply_replacement_with(
-    module: &mut Module,
-    inst: &IdiomInstance,
-    uid: usize,
-    facts: Option<&ParamAliasFacts>,
+    facts: &ParamAliasFacts,
 ) -> Result<Replacement> {
     let fidx = module
         .functions
         .iter()
         .position(|f| f.name == inst.function)
         .ok_or_else(|| XformError::Unsupported("function not in module".into()))?;
-    let (verdict, certificate) = {
-        let f = &module.functions[fidx];
-        check_soundness_with(f, inst, facts)?
-    };
-    let mut rep = match inst.kind {
+    let (verdict, certificate) = admit(&module.functions[fidx], inst, facts)?;
+    let (callee, generated) = match inst.kind {
         IdiomKind::Gemm => replace_gemm(module, fidx, inst),
         IdiomKind::Spmv => replace_spmv(module, fidx, inst),
         IdiomKind::Reduction => replace_reduction(module, fidx, inst, uid),
@@ -298,32 +264,34 @@ pub fn apply_replacement_with(
         IdiomKind::Stencil1D => replace_stencil1d(module, fidx, inst, uid),
         IdiomKind::Stencil2D => replace_stencil2d(module, fidx, inst, uid),
     }?;
-    rep.verdict = verdict;
-    rep.certificate = certificate;
-    Ok(rep)
+    Ok(Replacement {
+        kind: inst.kind,
+        callee,
+        generated,
+        verdict,
+        certificate,
+    })
 }
 
-/// Inserts `call @callee(args...)` immediately before the `precursor`
-/// branch, retargets that branch from the loop header to the loop
-/// successor block, removes the dead loop blocks and cleans up.
-/// If `result_replaces` is given, all uses of that value are rewired to
-/// the call's result first.
-#[allow(clippy::too_many_arguments)]
+/// Inserts `call @callee(args...)` immediately before the loop's
+/// `{lp}precursor` branch, retargets that branch from the loop header (the
+/// block of `{lp}iterator`) to the `{lp}successor` block, removes the dead
+/// loop blocks and cleans up. `lp` is `""` for a single loop and
+/// `"loop[0]."` for the outermost loop of a nest. If `result` is given,
+/// all uses of that value are rewired to the call's result first.
 fn excise_and_call(
     f: &mut Function,
     inst: &IdiomInstance,
-    precursor_var: &str,
-    header_iter_var: &str,
-    successor_var: &str,
+    lp: &str,
     callee: &str,
     ret_ty: Type,
     args: Vec<ValueId>,
-    result_replaces: Option<ValueId>,
+    result: Option<ValueId>,
 ) -> Result<()> {
     let an = Analyses::new(f);
-    let precursor = bind(inst, precursor_var)?;
-    let header_phi = bind(inst, header_iter_var)?;
-    let successor = bind(inst, successor_var)?;
+    let precursor = bind(inst, &format!("{lp}precursor"))?;
+    let header_phi = bind(inst, &format!("{lp}iterator"))?;
+    let successor = bind(inst, &format!("{lp}successor"))?;
     let pre_block = an
         .layout
         .block_of(precursor)
@@ -351,7 +319,7 @@ fn excise_and_call(
     debug_assert_eq!(v, call);
     let at = f.block(pre_block).instrs.len().saturating_sub(1);
     f.block_mut(pre_block).instrs.insert(at, call);
-    if let Some(old) = result_replaces {
+    if let Some(old) = result {
         replace_all_uses(f, old, call);
         // The call itself must not consume the replaced value.
         let instr = f.instr_mut(call).expect("call");
@@ -379,7 +347,7 @@ fn excise_and_call(
 
 // ----- library path -----
 
-fn replace_gemm(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Result<Replacement> {
+fn replace_gemm(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Result<Built> {
     let f = &module.functions[fidx];
     // Bounds must start at zero for the fixed-function entry point.
     for lo in [
@@ -408,17 +376,13 @@ fn replace_gemm(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Resul
             "GEMM epilogue with alpha/beta scaling is not offloaded".into(),
         ));
     }
-    let row_scaled = |mat: &str, row_var: &str| -> Result<i64> {
-        Ok(i64::from(
-            inst.value(&format!("{mat}.addr.mulidx")) == inst.value(row_var),
-        ))
+    let row_scaled = |mat: &str, row_var: &str| -> i64 {
+        i64::from(inst.value(&format!("{mat}.addr.mulidx")) == inst.value(row_var))
     };
-    let ar = row_scaled("input1", "iterator[2]")?;
-    let br = row_scaled("input2", "iterator[2]")?;
-    let cr = row_scaled("output", "iterator[1]")?;
+    let ar = row_scaled("input1", "iterator[2]");
+    let br = row_scaled("input2", "iterator[2]");
+    let cr = row_scaled("output", "iterator[1]");
     let f = &mut module.functions[fidx];
-    let (c1, c0) = (f.const_int(Type::I64, 1), f.const_int(Type::I64, 0));
-    let _ = (c1, c0);
     let ar = f.const_int(Type::I64, ar);
     let br = f.const_int(Type::I64, br);
     let cr = f.const_int(Type::I64, cr);
@@ -438,22 +402,12 @@ fn replace_gemm(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Resul
         cr,
         beta,
     ];
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "loop[0].precursor",
-        "loop[0].iterator",
-        "loop[0].successor",
-        "gemm_f64",
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(IdiomKind::Gemm, "gemm_f64".into(), vec![]))
+    excise_and_call(f, inst, "loop[0].", "gemm_f64", Type::Void, args, None)?;
+    Ok(("gemm_f64".into(), vec![]))
 }
 
-fn replace_spmv(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Result<Replacement> {
-    let f = &module.functions[fidx];
+fn replace_spmv(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Result<Built> {
+    let f = &mut module.functions[fidx];
     if const_i64(f, bind(inst, "iter_begin")?) != Some(0) {
         return Err(XformError::Unsupported(
             "SPMV outer loop must start at 0".into(),
@@ -464,17 +418,12 @@ fn replace_spmv(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Resul
             "SPMV accumulator must start at 0.0".into(),
         ));
     }
-    let width = |v: ValueId| -> i64 {
-        module.functions[fidx]
-            .value(v)
-            .ty
-            .pointee()
-            .map_or(8, |t| t.size_bytes() as i64)
-    };
     let rowptr = bind(inst, "ranges.base_pointer")?;
     let colidx = bind(inst, "idx_read.base_pointer")?;
-    let (rw, cw) = (width(rowptr), width(colidx));
-    let f = &mut module.functions[fidx];
+    let width = |f: &Function, v: ValueId| -> i64 {
+        f.value(v).ty.pointee().map_or(8, |t| t.size_bytes() as i64)
+    };
+    let (rw, cw) = (width(f, rowptr), width(f, colidx));
     let rw = f.const_int(Type::I64, rw);
     let cw = f.const_int(Type::I64, cw);
     let args = vec![
@@ -487,63 +436,100 @@ fn replace_spmv(module: &mut Module, fidx: usize, inst: &IdiomInstance) -> Resul
         rw,
         cw,
     ];
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "precursor",
-        "iterator",
-        "successor",
-        "csrmv_f64",
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Spmv,
-        "csrmv_f64".into(),
-        vec![],
-    ))
+    excise_and_call(f, inst, "", "csrmv_f64", Type::Void, args, None)?;
+    Ok(("csrmv_f64".into(), vec![]))
 }
 
 // ----- DSL path: generate device code as IR text, then link it in -----
 
-fn ty_str(t: &Type) -> String {
-    format!("{t}")
+/// The base pointer and element type of every `read[r]` of `inst`, in
+/// read order.
+fn read_bases(
+    f: &Function,
+    inst: &IdiomInstance,
+    reads: &[ValueId],
+) -> Result<Vec<(ValueId, Type)>> {
+    reads
+        .iter()
+        .enumerate()
+        .map(|(r, &rv)| {
+            Ok((
+                bind(inst, &format!("read[{r}].base_pointer"))?,
+                f.value(rv).ty.clone(),
+            ))
+        })
+        .collect()
 }
 
-/// Emits the per-read address+load lines for index `%i` of type `ity`
-/// with a constant `offset`; returns the value name holding the load.
-fn emit_indexed_load(
-    text: &mut String,
-    r: usize,
-    base: &str,
-    elem: &Type,
+/// `{ty} %{prefix}{k}` for every extra kernel operand: the device
+/// program's parameters and the kernel call's arguments alike.
+fn extra_operands(f: &Function, extras: &[ValueId], prefix: &str) -> Vec<String> {
+    extras
+        .iter()
+        .enumerate()
+        .map(|(k, &e)| format!("{} %{prefix}{k}", f.value(e).ty))
+        .collect()
+}
+
+/// The device-loop parameters: `{elem}* %b{r}` per read base, then the
+/// iteration bounds `%begin` and `%end`.
+fn loop_params(bases: &[(ValueId, Type)], ity: &Type) -> Vec<String> {
+    let mut params: Vec<String> = bases
+        .iter()
+        .enumerate()
+        .map(|(r, (_, e))| format!("{e}* %b{r}"))
+        .collect();
+    params.push(format!("{ity} %begin"));
+    params.push(format!("{ity} %end"));
+    params
+}
+
+/// The call operands matching [`loop_params`]: the read bases, then the
+/// loop's `iter_begin` and `iter_end`.
+fn loop_args(inst: &IdiomInstance, bases: &[(ValueId, Type)]) -> Result<Vec<ValueId>> {
+    let mut args: Vec<ValueId> = bases.iter().map(|(b, _)| *b).collect();
+    args.push(bind(inst, "iter_begin")?);
+    args.push(bind(inst, "iter_end")?);
+    Ok(args)
+}
+
+/// The 1-D device program shared by the reduction, histogram and
+/// Stencil1D backends: `entry` → `header` (the `%i` phi, any
+/// `carried_phis`, the `%i < %end` test) → `latch` (the `latch` body, then
+/// `%inext`) → `exit` (`ret {ret_val}`).
+fn device_loop(
+    name: &str,
+    ret: &str,
+    params: &[String],
     ity: &Type,
-    offset: i64,
+    carried_phis: &str,
+    latch: &str,
+    ret_val: &str,
 ) -> String {
+    format!(
+        "define {ret} @{name}({}) {{\nentry:\n  br label %header\nheader:\n  %i = phi {ity} [ %begin, %entry ], [ %inext, %latch ]\n{carried_phis}  %c = icmp slt {ity} %i, %end\n  br i1 %c, label %latch, label %exit\nlatch:\n{latch}  %inext = add {ity} %i, 1\n  br label %header\nexit:\n  ret {ret_val}\n}}\n",
+        params.join(", ")
+    )
+}
+
+/// Emits the address+load lines of read `r` (base `%b{r}`, element type
+/// `elem`) at index `%i + offset` of type `ity`; returns the typed loaded
+/// operand `{elem} %v{r}`.
+fn emit_indexed_load(text: &mut String, r: usize, elem: &Type, ity: &Type, offset: i64) -> String {
     let mut idx = "%i".to_owned();
     if offset != 0 {
-        let _ = std::fmt::Write::write_fmt(
-            text,
-            format_args!("  %off{r} = add {ity} {idx}, {offset}\n"),
-        );
+        let _ = writeln!(text, "  %off{r} = add {ity} {idx}, {offset}");
         idx = format!("%off{r}");
     }
-    let wide = if *ity == Type::I32 {
-        let _ =
-            std::fmt::Write::write_fmt(text, format_args!("  %iw{r} = sext {ity} {idx} to i64\n"));
-        format!("%iw{r}")
-    } else {
-        idx
-    };
-    let e = ty_str(elem);
-    let _ = std::fmt::Write::write_fmt(
+    if *ity == Type::I32 {
+        let _ = writeln!(text, "  %iw{r} = sext {ity} {idx} to i64");
+        idx = format!("%iw{r}");
+    }
+    let _ = writeln!(
         text,
-        format_args!(
-            "  %a{r} = getelementptr {e}, {e}* {base}, i64 {wide}\n  %v{r} = load {e}, {e}* %a{r}\n"
-        ),
+        "  %a{r} = getelementptr {elem}, {elem}* %b{r}, i64 {idx}\n  %v{r} = load {elem}, {elem}* %a{r}"
     );
-    format!("%v{r}")
+    format!("{elem} %v{r}")
 }
 
 fn check_step_and_cmp(f: &Function, inst: &IdiomInstance, prefix: &str) -> Result<()> {
@@ -562,7 +548,29 @@ fn check_step_and_cmp(f: &Function, inst: &IdiomInstance, prefix: &str) -> Resul
     }
 }
 
-fn parse_and_push(module: &mut Module, text: &str) -> Result<String> {
+/// Outlines the pure backward slice of `result` over `inputs` as the
+/// kernel `name`; returns the kernel and the extra operands it captured
+/// beyond `inputs`, which the device program passes through.
+fn outline(
+    f: &Function,
+    result: ValueId,
+    inputs: &[ValueId],
+    name: &str,
+    what: &str,
+) -> Result<(Function, Vec<ValueId>)> {
+    let k = outline_kernel(f, result, inputs, name)
+        .ok_or_else(|| XformError::Unsupported(format!("{what} is not pure")))?;
+    Ok((k.function, k.inputs[inputs.len()..].to_vec()))
+}
+
+/// Links the outlined `kernels` and the device program `text` into the
+/// module; returns the program's name and every generated name, kernels
+/// first.
+fn link(module: &mut Module, kernels: Vec<Function>, text: &str) -> Result<Built> {
+    let mut generated: Vec<String> = kernels.iter().map(|k| k.name.clone()).collect();
+    for k in kernels {
+        module.add_function(k);
+    }
     let func = ssair::parser::parse_function_text(text).map_err(|e| {
         XformError::Unsupported(format!(
             "generated device code failed to parse: {e}\n{text}"
@@ -575,8 +583,9 @@ fn parse_and_push(module: &mut Module, text: &str) -> Result<String> {
         ))
     })?;
     let name = func.name.clone();
+    generated.push(name.clone());
     module.add_function(func);
-    Ok(name)
+    Ok((name, generated))
 }
 
 fn replace_reduction(
@@ -584,7 +593,7 @@ fn replace_reduction(
     fidx: usize,
     inst: &IdiomInstance,
     uid: usize,
-) -> Result<Replacement> {
+) -> Result<Built> {
     let f = &module.functions[fidx];
     check_step_and_cmp(f, inst, "")?;
     let acc = bind(inst, "acc")?;
@@ -593,73 +602,39 @@ fn replace_reduction(
     let mut kernel_inputs: Vec<ValueId> = reads.clone();
     kernel_inputs.push(acc);
     let kname = format!("red_kernel_{uid}");
-    let outlined = outline_kernel(f, update, &kernel_inputs, &kname)
-        .ok_or_else(|| XformError::Unsupported("reduction kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = outlined.inputs[kernel_inputs.len()..].to_vec();
-
-    // Collect read base pointers and element types.
-    let mut bases: Vec<(ValueId, Type)> = Vec::new();
-    for (r, &rv) in reads.iter().enumerate() {
-        let base = bind(inst, &format!("read[{r}].base_pointer"))?;
-        bases.push((base, f.value(rv).ty.clone()));
-    }
+    let (kernel, extras) = outline(f, update, &kernel_inputs, &kname, "reduction kernel")?;
+    let bases = read_bases(f, inst, &reads)?;
     let ity = f.value(bind(inst, "iterator")?).ty.clone();
     let aty = f.value(acc).ty.clone();
 
     // Generate the device program (the "Lift output").
-    let devname = format!("lift_red_{uid}");
-    let mut params: Vec<String> = bases
-        .iter()
-        .enumerate()
-        .map(|(r, (_, e))| format!("{}* %b{r}", ty_str(e)))
-        .collect();
-    params.push(format!("{} %begin", ty_str(&ity)));
-    params.push(format!("{} %end", ty_str(&ity)));
-    params.push(format!("{} %init", ty_str(&aty)));
-    for (k, &e) in extras.iter().enumerate() {
-        params.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
+    let mut params = loop_params(&bases, &ity);
+    params.push(format!("{aty} %init"));
+    params.extend(extra_operands(f, &extras, "x"));
     let mut body = String::new();
-    let mut kargs: Vec<String> = Vec::new();
-    for (r, (_, e)) in bases.iter().enumerate() {
-        let v = emit_indexed_load(&mut body, r, &format!("%b{r}"), e, &ity, 0);
-        kargs.push(format!("{} {v}", ty_str(e)));
-    }
-    kargs.push(format!("{} %acc", ty_str(&aty)));
-    for (k, &e) in extras.iter().enumerate() {
-        kargs.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
-    let ity_s = ty_str(&ity);
-    let aty_s = ty_str(&aty);
-    let text = format!(
-        "define {aty_s} @{devname}({}) {{\nentry:\n  br label %header\nheader:\n  %i = phi {ity_s} [ %begin, %entry ], [ %inext, %latch ]\n  %acc = phi {aty_s} [ %init, %entry ], [ %nacc, %latch ]\n  %c = icmp slt {ity_s} %i, %end\n  br i1 %c, label %latch, label %exit\nlatch:\n{body}  %nacc = call {aty_s} @{kname}({})\n  %inext = add {ity_s} %i, 1\n  br label %header\nexit:\n  ret {aty_s} %acc\n}}\n",
-        params.join(", "),
-        kargs.join(", ")
+    let mut kargs: Vec<String> = (0..bases.len())
+        .map(|r| emit_indexed_load(&mut body, r, &bases[r].1, &ity, 0))
+        .collect();
+    kargs.push(format!("{aty} %acc"));
+    kargs.extend(extra_operands(f, &extras, "x"));
+    let _ = writeln!(body, "  %nacc = call {aty} @{kname}({})", kargs.join(", "));
+    let text = device_loop(
+        &format!("lift_red_{uid}"),
+        &aty.to_string(),
+        &params,
+        &ity,
+        &format!("  %acc = phi {aty} [ %init, %entry ], [ %nacc, %latch ]\n"),
+        &body,
+        &format!("{aty} %acc"),
     );
-    module.add_function(outlined.function);
-    let devgen = parse_and_push(module, &text)?;
+    let (devgen, generated) = link(module, vec![kernel], &text)?;
 
-    let mut args: Vec<ValueId> = bases.iter().map(|(b, _)| *b).collect();
-    args.push(bind(inst, "iter_begin")?);
-    args.push(bind(inst, "iter_end")?);
+    let mut args = loop_args(inst, &bases)?;
     args.push(bind(inst, "init")?);
     args.extend(extras);
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "precursor",
-        "iterator",
-        "successor",
-        &devgen,
-        aty,
-        args,
-        Some(acc),
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Reduction,
-        devgen.clone(),
-        vec![kname, devgen],
-    ))
+    let f = &mut module.functions[fidx];
+    excise_and_call(f, inst, "", &devgen, aty, args, Some(acc))?;
+    Ok((devgen, generated))
 }
 
 fn replace_histogram(
@@ -667,7 +642,7 @@ fn replace_histogram(
     fidx: usize,
     inst: &IdiomInstance,
     uid: usize,
-) -> Result<Replacement> {
+) -> Result<Built> {
     let f = &module.functions[fidx];
     check_step_and_cmp(f, inst, "")?;
     // The update must run every iteration (conditional histograms would
@@ -689,95 +664,68 @@ fn replace_histogram(
     let mut val_inputs: Vec<ValueId> = reads.clone();
     val_inputs.push(old);
     let vk_name = format!("histo_val_kernel_{uid}");
-    let vk = outline_kernel(f, new_value, &val_inputs, &vk_name)
-        .ok_or_else(|| XformError::Unsupported("histogram value kernel is not pure".into()))?;
+    let (vk, v_extras) = outline(
+        f,
+        new_value,
+        &val_inputs,
+        &vk_name,
+        "histogram value kernel",
+    )?;
     let ik_name = format!("histo_idx_kernel_{uid}");
-    let ik = outline_kernel(f, bin_idx, &reads, &ik_name)
-        .ok_or_else(|| XformError::Unsupported("histogram index kernel is not pure".into()))?;
-    let v_extras: Vec<ValueId> = vk.inputs[val_inputs.len()..].to_vec();
-    let i_extras: Vec<ValueId> = ik.inputs[reads.len()..].to_vec();
-
-    let mut bases: Vec<(ValueId, Type)> = Vec::new();
-    for (r, &rv) in reads.iter().enumerate() {
-        bases.push((
-            bind(inst, &format!("read[{r}].base_pointer"))?,
-            f.value(rv).ty.clone(),
-        ));
-    }
+    let (ik, i_extras) = outline(f, bin_idx, &reads, &ik_name, "histogram index kernel")?;
+    let bases = read_bases(f, inst, &reads)?;
     let bins = bind(inst, "bins")?;
     let bty = f.value(old).ty.clone();
     let ity = f.value(bind(inst, "iterator")?).ty.clone();
     let xty = f.value(bin_idx).ty.clone();
 
-    let devname = format!("lift_histo_{uid}");
-    let mut params: Vec<String> = vec![format!("{}* %bins", ty_str(&bty))];
-    for (r, (_, e)) in bases.iter().enumerate() {
-        params.push(format!("{}* %b{r}", ty_str(e)));
-    }
-    params.push(format!("{} %begin", ty_str(&ity)));
-    params.push(format!("{} %end", ty_str(&ity)));
-    for (k, &e) in i_extras.iter().enumerate() {
-        params.push(format!("{} %ix{k}", ty_str(&f.value(e).ty)));
-    }
-    for (k, &e) in v_extras.iter().enumerate() {
-        params.push(format!("{} %vx{k}", ty_str(&f.value(e).ty)));
-    }
+    let mut params = vec![format!("{bty}* %bins")];
+    params.extend(loop_params(&bases, &ity));
+    params.extend(extra_operands(f, &i_extras, "ix"));
+    params.extend(extra_operands(f, &v_extras, "vx"));
     let mut body = String::new();
-    let mut read_args: Vec<String> = Vec::new();
-    for (r, (_, e)) in bases.iter().enumerate() {
-        let v = emit_indexed_load(&mut body, r, &format!("%b{r}"), e, &ity, 0);
-        read_args.push(format!("{} {v}", ty_str(e)));
-    }
+    let read_args: Vec<String> = (0..bases.len())
+        .map(|r| emit_indexed_load(&mut body, r, &bases[r].1, &ity, 0))
+        .collect();
     let mut ikargs = read_args.clone();
-    for (k, &e) in i_extras.iter().enumerate() {
-        ikargs.push(format!("{} %ix{k}", ty_str(&f.value(e).ty)));
-    }
-    let xty_s = ty_str(&xty);
-    let bty_s = ty_str(&bty);
-    let ity_s = ty_str(&ity);
-    let idx_wide = if xty == Type::I32 {
-        "  %xw = sext i32 %xidx to i64\n"
-    } else {
-        ""
-    };
-    let xw = if xty == Type::I32 { "%xw" } else { "%xidx" };
+    ikargs.extend(extra_operands(f, &i_extras, "ix"));
     let mut vkargs = read_args;
-    vkargs.push(format!("{bty_s} %old"));
-    for (k, &e) in v_extras.iter().enumerate() {
-        vkargs.push(format!("{} %vx{k}", ty_str(&f.value(e).ty)));
-    }
-    let text = format!(
-        "define void @{devname}({}) {{\nentry:\n  br label %header\nheader:\n  %i = phi {ity_s} [ %begin, %entry ], [ %inext, %latch ]\n  %c = icmp slt {ity_s} %i, %end\n  br i1 %c, label %latch, label %exit\nlatch:\n{body}  %xidx = call {xty_s} @{ik_name}({})\n{idx_wide}  %ba = getelementptr {bty_s}, {bty_s}* %bins, i64 {xw}\n  %old = load {bty_s}, {bty_s}* %ba\n  %new = call {bty_s} @{vk_name}({})\n  store {bty_s} %new, {bty_s}* %ba\n  %inext = add {ity_s} %i, 1\n  br label %header\nexit:\n  ret void\n}}\n",
-        params.join(", "),
-        ikargs.join(", "),
+    vkargs.push(format!("{bty} %old"));
+    vkargs.extend(extra_operands(f, &v_extras, "vx"));
+    let _ = writeln!(
+        body,
+        "  %xidx = call {xty} @{ik_name}({})",
+        ikargs.join(", ")
+    );
+    let xw = if xty == Type::I32 {
+        body.push_str("  %xw = sext i32 %xidx to i64\n");
+        "%xw"
+    } else {
+        "%xidx"
+    };
+    let _ = writeln!(
+        body,
+        "  %ba = getelementptr {bty}, {bty}* %bins, i64 {xw}\n  %old = load {bty}, {bty}* %ba\n  %new = call {bty} @{vk_name}({})\n  store {bty} %new, {bty}* %ba",
         vkargs.join(", ")
     );
-    module.add_function(vk.function);
-    module.add_function(ik.function);
-    let devgen = parse_and_push(module, &text)?;
+    let text = device_loop(
+        &format!("lift_histo_{uid}"),
+        "void",
+        &params,
+        &ity,
+        "",
+        &body,
+        "void",
+    );
+    let (devgen, generated) = link(module, vec![vk, ik], &text)?;
 
     let mut args: Vec<ValueId> = vec![bins];
-    args.extend(bases.iter().map(|(b, _)| *b));
-    args.push(bind(inst, "iter_begin")?);
-    args.push(bind(inst, "iter_end")?);
+    args.extend(loop_args(inst, &bases)?);
     args.extend(i_extras);
     args.extend(v_extras);
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "precursor",
-        "iterator",
-        "successor",
-        &devgen,
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Histogram,
-        devgen.clone(),
-        vec![vk_name, ik_name, devgen],
-    ))
+    let f = &mut module.functions[fidx];
+    excise_and_call(f, inst, "", &devgen, Type::Void, args, None)?;
+    Ok((devgen, generated))
 }
 
 /// Constant offset of `idx` relative to `center` (`i`, `i±c`), or `None`.
@@ -811,84 +759,59 @@ fn replace_stencil1d(
     fidx: usize,
     inst: &IdiomInstance,
     uid: usize,
-) -> Result<Replacement> {
+) -> Result<Built> {
     let f = &module.functions[fidx];
     check_step_and_cmp(f, inst, "")?;
     let reads = inst.family("read_value");
     let center = bind(inst, "iterator")?;
     let write_value = bind(inst, "write.value")?;
     let kname = format!("halide_kernel_{uid}");
-    let outlined = outline_kernel(f, write_value, &reads, &kname)
-        .ok_or_else(|| XformError::Unsupported("stencil kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = outlined.inputs[reads.len()..].to_vec();
-    let mut bases: Vec<(ValueId, Type, i64)> = Vec::new();
-    for (r, &rv) in reads.iter().enumerate() {
-        let base = bind(inst, &format!("read[{r}].base_pointer"))?;
+    let (kernel, extras) = outline(f, write_value, &reads, &kname, "stencil kernel")?;
+    let bases = read_bases(f, inst, &reads)?;
+    let mut body = String::new();
+    let ity = f.value(center).ty.clone();
+    let mut kargs = Vec::new();
+    for (r, (_, elem)) in bases.iter().enumerate() {
         let gep_idx = bind(inst, &format!("read[{r}].gep_idx"))?;
         let off = offset_from(f, gep_idx, center).ok_or_else(|| {
             XformError::Unsupported("stencil read offset is not a constant".into())
         })?;
-        bases.push((base, f.value(rv).ty.clone(), off));
+        kargs.push(emit_indexed_load(&mut body, r, elem, &ity, off));
     }
     let out_base = bind(inst, "write.base_pointer")?;
     let oty = f.value(write_value).ty.clone();
-    let ity = f.value(center).ty.clone();
 
-    let devname = format!("halide_st1_{uid}");
-    let mut params: Vec<String> = vec![format!("{}* %out", ty_str(&oty))];
-    for (r, (_, e, _)) in bases.iter().enumerate() {
-        params.push(format!("{}* %b{r}", ty_str(e)));
-    }
-    params.push(format!("{} %begin", ty_str(&ity)));
-    params.push(format!("{} %end", ty_str(&ity)));
-    for (k, &e) in extras.iter().enumerate() {
-        params.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
-    let mut body = String::new();
-    let mut kargs: Vec<String> = Vec::new();
-    for (r, (_, e, off)) in bases.iter().enumerate() {
-        let v = emit_indexed_load(&mut body, r, &format!("%b{r}"), e, &ity, *off);
-        kargs.push(format!("{} {v}", ty_str(e)));
-    }
-    for (k, &e) in extras.iter().enumerate() {
-        kargs.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
-    let ity_s = ty_str(&ity);
-    let oty_s = ty_str(&oty);
-    let wide = if ity == Type::I32 {
-        "  %ow = sext i32 %i to i64\n"
+    let mut params = vec![format!("{oty}* %out")];
+    params.extend(loop_params(&bases, &ity));
+    params.extend(extra_operands(f, &extras, "x"));
+    kargs.extend(extra_operands(f, &extras, "x"));
+    let _ = writeln!(body, "  %res = call {oty} @{kname}({})", kargs.join(", "));
+    let ow = if ity == Type::I32 {
+        body.push_str("  %ow = sext i32 %i to i64\n");
+        "%ow"
     } else {
-        ""
+        "%i"
     };
-    let ow = if ity == Type::I32 { "%ow" } else { "%i" };
-    let text = format!(
-        "define void @{devname}({}) {{\nentry:\n  br label %header\nheader:\n  %i = phi {ity_s} [ %begin, %entry ], [ %inext, %latch ]\n  %c = icmp slt {ity_s} %i, %end\n  br i1 %c, label %latch, label %exit\nlatch:\n{body}  %res = call {oty_s} @{kname}({})\n{wide}  %oa = getelementptr {oty_s}, {oty_s}* %out, i64 {ow}\n  store {oty_s} %res, {oty_s}* %oa\n  %inext = add {ity_s} %i, 1\n  br label %header\nexit:\n  ret void\n}}\n",
-        params.join(", "),
-        kargs.join(", ")
+    let _ = writeln!(
+        body,
+        "  %oa = getelementptr {oty}, {oty}* %out, i64 {ow}\n  store {oty} %res, {oty}* %oa"
     );
-    module.add_function(outlined.function);
-    let devgen = parse_and_push(module, &text)?;
+    let text = device_loop(
+        &format!("halide_st1_{uid}"),
+        "void",
+        &params,
+        &ity,
+        "",
+        &body,
+        "void",
+    );
+    let (devgen, generated) = link(module, vec![kernel], &text)?;
     let mut args: Vec<ValueId> = vec![out_base];
-    args.extend(bases.iter().map(|(b, _, _)| *b));
-    args.push(bind(inst, "iter_begin")?);
-    args.push(bind(inst, "iter_end")?);
+    args.extend(loop_args(inst, &bases)?);
     args.extend(extras);
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "precursor",
-        "iterator",
-        "successor",
-        &devgen,
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Stencil1D,
-        devgen.clone(),
-        vec![kname, devgen],
-    ))
+    let f = &mut module.functions[fidx];
+    excise_and_call(f, inst, "", &devgen, Type::Void, args, None)?;
+    Ok((devgen, generated))
 }
 
 fn replace_stencil2d(
@@ -896,7 +819,7 @@ fn replace_stencil2d(
     fidx: usize,
     inst: &IdiomInstance,
     uid: usize,
-) -> Result<Replacement> {
+) -> Result<Built> {
     let f = &module.functions[fidx];
     check_step_and_cmp(f, inst, "loop[0].")?;
     check_step_and_cmp(f, inst, "loop[1].")?;
@@ -905,24 +828,17 @@ fn replace_stencil2d(
     let col_iter = bind(inst, "loop[1].iterator")?;
     let write_value = bind(inst, "write.value")?;
     let kname = format!("halide_kernel_{uid}");
-    let outlined = outline_kernel(f, write_value, &reads, &kname)
-        .ok_or_else(|| XformError::Unsupported("stencil kernel is not pure".into()))?;
-    let extras: Vec<ValueId> = outlined.inputs[reads.len()..].to_vec();
+    let (kernel, extras) = outline(f, write_value, &reads, &kname, "stencil kernel")?;
 
     // Write side must be row-major (row in the scaled position).
     if inst.value("write.addr.mulidx") != Some(row_iter) {
         return Err(XformError::Unsupported("transposed stencil output".into()));
     }
     let out_stride = bind(inst, "write.addr.stride")?;
-    struct Read2 {
-        base: ValueId,
-        elem: Type,
-        roff: i64,
-        coff: i64,
-        stride: ValueId,
-    }
-    let mut rs: Vec<Read2> = Vec::new();
-    for (r, &rv) in reads.iter().enumerate() {
+    let bases = read_bases(f, inst, &reads)?;
+    // Per read: constant row and column offsets, and the row stride.
+    let mut offsets: Vec<(i64, i64, ValueId)> = Vec::new();
+    for r in 0..reads.len() {
         let rowexpr = bind(inst, &format!("read[{r}].rowexpr"))?;
         let colexpr = bind(inst, &format!("read[{r}].colexpr"))?;
         let roff = offset_from(f, rowexpr, row_iter)
@@ -930,13 +846,7 @@ fn replace_stencil2d(
         let coff = offset_from(f, colexpr, col_iter).ok_or_else(|| {
             XformError::Unsupported("stencil column offset is not constant".into())
         })?;
-        rs.push(Read2 {
-            base: bind(inst, &format!("read[{r}].base_pointer"))?,
-            elem: f.value(rv).ty.clone(),
-            roff,
-            coff,
-            stride: bind(inst, &format!("read[{r}].stride"))?,
-        });
+        offsets.push((roff, coff, bind(inst, &format!("read[{r}].stride"))?));
     }
     let out_base = bind(inst, "write.base_pointer")?;
     let oty = f.value(write_value).ty.clone();
@@ -948,52 +858,45 @@ fn replace_stencil2d(
     }
 
     let devname = format!("halide_st2_{uid}");
-    let ity_s = ty_str(&ity);
-    let oty_s = ty_str(&oty);
-    let mut params: Vec<String> = vec![format!("{oty_s}* %out"), format!("{ity_s} %sw")];
-    for (r, rd) in rs.iter().enumerate() {
-        params.push(format!("{}* %b{r}", ty_str(&rd.elem)));
-        params.push(format!("{ity_s} %s{r}"));
-    }
-    params.push(format!("{ity_s} %b0r"));
-    params.push(format!("{ity_s} %e0r"));
-    params.push(format!("{ity_s} %b1c"));
-    params.push(format!("{ity_s} %e1c"));
-    for (k, &e) in extras.iter().enumerate() {
-        params.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
+    let mut params: Vec<String> = vec![format!("{oty}* %out"), format!("{ity} %sw")];
+    let mut args: Vec<ValueId> = vec![out_base, out_stride];
     let mut body = String::new();
     let mut kargs: Vec<String> = Vec::new();
-    use std::fmt::Write as _;
-    for (r, rd) in rs.iter().enumerate() {
-        let rexp = if rd.roff != 0 {
-            let _ = writeln!(body, "  %ro{r} = add {ity_s} %i, {}", rd.roff);
+    for (r, ((base, e), &(roff, coff, stride))) in bases.iter().zip(&offsets).enumerate() {
+        params.push(format!("{e}* %b{r}"));
+        params.push(format!("{ity} %s{r}"));
+        args.push(*base);
+        args.push(stride);
+        let rexp = if roff != 0 {
+            let _ = writeln!(body, "  %ro{r} = add {ity} %i, {roff}");
             format!("%ro{r}")
         } else {
             "%i".to_owned()
         };
-        let cexp = if rd.coff != 0 {
-            let _ = writeln!(body, "  %co{r} = add {ity_s} %j, {}", rd.coff);
+        let cexp = if coff != 0 {
+            let _ = writeln!(body, "  %co{r} = add {ity} %j, {coff}");
             format!("%co{r}")
         } else {
             "%j".to_owned()
         };
-        let _ = writeln!(body, "  %m{r} = mul {ity_s} {rexp}, %s{r}");
-        let _ = writeln!(body, "  %f{r} = add {ity_s} %m{r}, {cexp}");
+        let _ = writeln!(body, "  %m{r} = mul {ity} {rexp}, %s{r}");
+        let _ = writeln!(body, "  %f{r} = add {ity} %m{r}, {cexp}");
         let wide = if ity == Type::I32 {
             let _ = writeln!(body, "  %fw{r} = sext i32 %f{r} to i64");
             format!("%fw{r}")
         } else {
             format!("%f{r}")
         };
-        let e = ty_str(&rd.elem);
         let _ = writeln!(body, "  %a{r} = getelementptr {e}, {e}* %b{r}, i64 {wide}");
         let _ = writeln!(body, "  %v{r} = load {e}, {e}* %a{r}");
         kargs.push(format!("{e} %v{r}"));
     }
-    for (k, &e) in extras.iter().enumerate() {
-        kargs.push(format!("{} %x{k}", ty_str(&f.value(e).ty)));
-    }
+    params.push(format!("{ity} %b0r"));
+    params.push(format!("{ity} %e0r"));
+    params.push(format!("{ity} %b1c"));
+    params.push(format!("{ity} %e1c"));
+    params.extend(extra_operands(f, &extras, "x"));
+    kargs.extend(extra_operands(f, &extras, "x"));
     let widen_out = if ity == Type::I32 {
         "  %fow = sext i32 %fo to i64\n"
     } else {
@@ -1001,36 +904,17 @@ fn replace_stencil2d(
     };
     let fow = if ity == Type::I32 { "%fow" } else { "%fo" };
     let text = format!(
-        "define void @{devname}({}) {{\nentry:\n  br label %h0\nh0:\n  %i = phi {ity_s} [ %b0r, %entry ], [ %inext, %l0 ]\n  %c0 = icmp slt {ity_s} %i, %e0r\n  br i1 %c0, label %pre1, label %x0\npre1:\n  br label %h1\nh1:\n  %j = phi {ity_s} [ %b1c, %pre1 ], [ %jnext, %l1 ]\n  %c1 = icmp slt {ity_s} %j, %e1c\n  br i1 %c1, label %l1, label %x1\nl1:\n{body}  %res = call {oty_s} @{kname}({})\n  %mo = mul {ity_s} %i, %sw\n  %fo = add {ity_s} %mo, %j\n{widen_out}  %oa = getelementptr {oty_s}, {oty_s}* %out, i64 {fow}\n  store {oty_s} %res, {oty_s}* %oa\n  %jnext = add {ity_s} %j, 1\n  br label %h1\nx1:\n  br label %l0\nl0:\n  %inext = add {ity_s} %i, 1\n  br label %h0\nx0:\n  ret void\n}}\n",
+        "define void @{devname}({}) {{\nentry:\n  br label %h0\nh0:\n  %i = phi {ity} [ %b0r, %entry ], [ %inext, %l0 ]\n  %c0 = icmp slt {ity} %i, %e0r\n  br i1 %c0, label %pre1, label %x0\npre1:\n  br label %h1\nh1:\n  %j = phi {ity} [ %b1c, %pre1 ], [ %jnext, %l1 ]\n  %c1 = icmp slt {ity} %j, %e1c\n  br i1 %c1, label %l1, label %x1\nl1:\n{body}  %res = call {oty} @{kname}({})\n  %mo = mul {ity} %i, %sw\n  %fo = add {ity} %mo, %j\n{widen_out}  %oa = getelementptr {oty}, {oty}* %out, i64 {fow}\n  store {oty} %res, {oty}* %oa\n  %jnext = add {ity} %j, 1\n  br label %h1\nx1:\n  br label %l0\nl0:\n  %inext = add {ity} %i, 1\n  br label %h0\nx0:\n  ret void\n}}\n",
         params.join(", "),
         kargs.join(", ")
     );
-    module.add_function(outlined.function);
-    let devgen = parse_and_push(module, &text)?;
-    let mut args: Vec<ValueId> = vec![out_base, out_stride];
-    for rd in &rs {
-        args.push(rd.base);
-        args.push(rd.stride);
-    }
+    let (devgen, generated) = link(module, vec![kernel], &text)?;
     args.push(bind(inst, "loop[0].iter_begin")?);
     args.push(bind(inst, "loop[0].iter_end")?);
     args.push(bind(inst, "loop[1].iter_begin")?);
     args.push(bind(inst, "loop[1].iter_end")?);
     args.extend(extras);
-    excise_and_call(
-        &mut module.functions[fidx],
-        inst,
-        "loop[0].precursor",
-        "loop[0].iterator",
-        "loop[0].successor",
-        &devgen,
-        Type::Void,
-        args,
-        None,
-    )?;
-    Ok(base_replacement(
-        IdiomKind::Stencil2D,
-        devgen.clone(),
-        vec![kname, devgen],
-    ))
+    let f = &mut module.functions[fidx];
+    excise_and_call(f, inst, "loop[0].", &devgen, Type::Void, args, None)?;
+    Ok((devgen, generated))
 }

@@ -2,6 +2,7 @@
 //! execute original and transformed programs and compare results. This is
 //! the §6 pipeline with the §6.3 soundness checks on the rejection paths.
 
+use analysis::ParamAliasFacts;
 use idioms::{detect, IdiomKind};
 use interp::{Machine, Value};
 use ssair::Module;
@@ -98,7 +99,8 @@ fn reduction_replacement_preserves_results() {
         .iter()
         .find(|i| i.kind == IdiomKind::Reduction)
         .expect("found");
-    let rep = xform::apply_replacement(&mut transformed, red, 0).expect("replaced");
+    let rep = xform::apply_replacement(&mut transformed, red, 0, &ParamAliasFacts::default())
+        .expect("replaced");
     assert!(rep.callee.starts_with("lift_red_"));
     assert!(
         transformed.function(&rep.callee).is_some(),
@@ -132,7 +134,8 @@ fn max_reduction_with_intrinsics_round_trips() {
         .iter()
         .find(|i| i.kind == IdiomKind::Reduction)
         .expect("found");
-    xform::apply_replacement(&mut transformed, red, 1).expect("replaced");
+    xform::apply_replacement(&mut transformed, red, 1, &ParamAliasFacts::default())
+        .expect("replaced");
     let xs: Vec<f64> = (0..29).map(|i| ((i * 37) % 13) as f64 - 6.0).collect();
     let run = |m: &Module| {
         let mut vm = Machine::new(m);
@@ -156,7 +159,8 @@ fn histogram_replacement_preserves_bins() {
         .iter()
         .find(|i| i.kind == IdiomKind::Histogram)
         .expect("found");
-    xform::apply_replacement(&mut transformed, h, 2).expect("replaced");
+    xform::apply_replacement(&mut transformed, h, 2, &ParamAliasFacts::default())
+        .expect("replaced");
     let img: Vec<i32> = (0..101).map(|i| (i * 7) % 16).collect();
     let run = |m: &Module| {
         let mut vm = Machine::new(m);
@@ -182,7 +186,8 @@ fn stencil1d_replacement_preserves_output() {
         .iter()
         .find(|i| i.kind == IdiomKind::Stencil1D)
         .expect("found");
-    xform::apply_replacement(&mut transformed, st, 3).expect("replaced");
+    xform::apply_replacement(&mut transformed, st, 3, &ParamAliasFacts::default())
+        .expect("replaced");
     let input: Vec<f64> = (0..50).map(|i| (i as f64).sin()).collect();
     let run = |m: &Module| {
         let mut vm = Machine::new(m);
@@ -210,7 +215,8 @@ fn stencil2d_replacement_preserves_output() {
         .iter()
         .find(|i| i.kind == IdiomKind::Stencil2D)
         .expect("found");
-    xform::apply_replacement(&mut transformed, st, 4).expect("replaced");
+    xform::apply_replacement(&mut transformed, st, 4, &ParamAliasFacts::default())
+        .expect("replaced");
     let n = 12;
     let input: Vec<f64> = (0..n * n).map(|i| ((i * 31) % 17) as f64 * 0.5).collect();
     let run = |m: &Module| {
@@ -241,7 +247,8 @@ fn gemm_replacement_calls_the_library() {
         .iter()
         .find(|i| i.kind == IdiomKind::Gemm)
         .expect("found");
-    let rep = xform::apply_replacement(&mut transformed, g, 5).expect("replaced");
+    let rep = xform::apply_replacement(&mut transformed, g, 5, &ParamAliasFacts::default())
+        .expect("replaced");
     assert_eq!(rep.callee, "gemm_f64");
     let n = 9;
     let a: Vec<f64> = (0..n * n).map(|i| ((i * 13) % 7) as f64).collect();
@@ -279,7 +286,8 @@ fn spmv_replacement_calls_the_library() {
         .iter()
         .find(|i| i.kind == IdiomKind::Spmv)
         .expect("found");
-    let rep = xform::apply_replacement(&mut transformed, s, 6).expect("replaced");
+    let rep = xform::apply_replacement(&mut transformed, s, 6, &ParamAliasFacts::default())
+        .expect("replaced");
     assert_eq!(rep.callee, "csrmv_f64");
     // A small CSR matrix: 4 rows.
     let rowstr: Vec<i32> = vec![0, 2, 4, 5, 7];
@@ -356,7 +364,8 @@ fn unsound_regions_are_rejected() {
     let insts = detect(m.function("weird").unwrap());
     for inst in insts.iter().filter(|i| i.kind == IdiomKind::Reduction) {
         let mut t = m.clone();
-        let err = xform::apply_replacement(&mut t, inst, 9).unwrap_err();
+        let err =
+            xform::apply_replacement(&mut t, inst, 9, &ParamAliasFacts::default()).unwrap_err();
         assert!(matches!(err, xform::XformError::Unsound(_)), "got {err:?}");
     }
 }
@@ -372,7 +381,7 @@ fn conditional_histogram_is_not_offloaded() {
     let insts = detect(m.function("chisto").unwrap());
     for inst in insts.iter().filter(|i| i.kind == IdiomKind::Histogram) {
         let mut t = m.clone();
-        assert!(xform::apply_replacement(&mut t, inst, 10).is_err());
+        assert!(xform::apply_replacement(&mut t, inst, 10, &ParamAliasFacts::default()).is_err());
     }
 }
 
@@ -397,7 +406,7 @@ fn alpha_beta_gemm_is_detected_but_not_offloaded() {
         .find(|i| i.kind == IdiomKind::Gemm)
         .expect("detected");
     let mut t = m.clone();
-    let err = xform::apply_replacement(&mut t, g, 20).unwrap_err();
+    let err = xform::apply_replacement(&mut t, g, 20, &ParamAliasFacts::default()).unwrap_err();
     assert!(
         matches!(err, xform::XformError::Unsupported(_)),
         "got {err:?}"
@@ -418,7 +427,7 @@ fn strided_reduction_is_detected_but_not_offloaded() {
         .find(|i| i.kind == IdiomKind::Reduction)
         .expect("detected");
     let mut t = m.clone();
-    let err = xform::apply_replacement(&mut t, r, 21).unwrap_err();
+    let err = xform::apply_replacement(&mut t, r, 21, &ParamAliasFacts::default()).unwrap_err();
     assert!(matches!(err, xform::XformError::Unsupported(_)));
 }
 
@@ -435,7 +444,8 @@ fn generated_device_code_always_verifies() {
         let insts = detect(m.function(fname).unwrap());
         let inst = insts.iter().find(|i| i.kind == kind).expect("detected");
         let mut t = m.clone();
-        let rep = xform::apply_replacement(&mut t, inst, 22).expect("replaced");
+        let rep = xform::apply_replacement(&mut t, inst, 22, &ParamAliasFacts::default())
+            .expect("replaced");
         for g in &rep.generated {
             let f = t.function(g).expect("linked");
             ssair::verify::verify_function(f).expect("generated code verifies");

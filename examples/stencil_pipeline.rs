@@ -4,6 +4,7 @@
 //!
 //!     cargo run --example stencil_pipeline
 
+use idiomatch::analysis::ParamAliasFacts;
 use idiomatch::idioms::IdiomKind;
 use idiomatch::xform;
 
@@ -44,7 +45,8 @@ fn main() {
     );
 
     // Generate device code and rewrite the program.
-    let rep = xform::apply_replacement(&mut module, st, 0).expect("replaced");
+    let rep = xform::apply_replacement(&mut module, st, 0, &ParamAliasFacts::default())
+        .expect("replaced");
     println!("== generated functions ==  {:?}", rep.generated);
     println!("{}", module.function(&rep.callee).unwrap());
 }

@@ -90,3 +90,67 @@ fn crash_and_timeout_are_contained_within_a_shard() {
     let _ = std::fs::remove_dir_all(&corpus_dir);
     let _ = std::fs::remove_dir_all(&state);
 }
+
+#[test]
+fn deeply_nested_files_are_parse_error_records() {
+    // Each file nests 10,000 deep; unbounded, the recursive parser and
+    // lowering overflow the sandbox thread's stack, and a stack overflow
+    // aborts the whole process (no `catch_unwind` can contain it). The
+    // frontend's nesting bound turns each into an ordinary parse error.
+    let n = 10_000;
+    let deep = [
+        (
+            "b_parens.c",
+            format!(
+                "int f(int x) {{\n  return {}1{};\n}}\n",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+        ),
+        (
+            "c_blocks.c",
+            format!("void f() {{\n  {}{}\n}}\n", "{".repeat(n), "}".repeat(n)),
+        ),
+        (
+            "d_ifs.c",
+            format!("void f(int x) {{\n  {} x = 1;\n}}\n", "if (x) ".repeat(n)),
+        ),
+        (
+            "e_chain.c",
+            format!("int f(int x) {{\n  return x{};\n}}\n", " + x".repeat(n - 1)),
+        ),
+    ];
+    let corpus_dir = scratch("corpus_deep_src");
+    std::fs::write(corpus_dir.join("a_ok.c"), OK_SOURCE).unwrap();
+    for (name, text) in &deep {
+        std::fs::write(corpus_dir.join(name), text).unwrap();
+    }
+    let state = scratch("corpus_deep_state");
+    let summary = run(&RunConfig::new(
+        Source::dir(&corpus_dir).expect("dir source"),
+        &state,
+    ))
+    .expect("run survives deeply nested modules");
+
+    assert!(summary.complete);
+    assert_eq!(summary.records.len(), 1 + deep.len());
+    for (name, _) in &deep {
+        let r = summary
+            .records
+            .iter()
+            .find(|r| r.module == *name)
+            .unwrap_or_else(|| panic!("no record for {name}"));
+        assert_eq!(r.outcome, Taxonomy::ParseError, "{name}: {}", r.detail);
+        let expected = format!(
+            "line 2: nesting deeper than {} levels",
+            idiomatch::minicc::parse::MAX_NESTING
+        );
+        assert_eq!(r.detail, expected, "{name}");
+    }
+    let tax = summary.taxonomy();
+    assert_eq!(tax[&Taxonomy::Ok], 1, "the healthy neighbour still runs");
+    assert_eq!(tax[&Taxonomy::ParseError], deep.len() as u64);
+
+    let _ = std::fs::remove_dir_all(&corpus_dir);
+    let _ = std::fs::remove_dir_all(&state);
+}

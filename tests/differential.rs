@@ -66,7 +66,14 @@ fn reference(f: &Function) -> Reference {
                 continue;
             }
             seen_anchor.push(anchor);
-            let certificate = analysis::classify_region(f, an, &affine, &blocks, iter, None);
+            let certificate = analysis::classify_region(
+                f,
+                an,
+                &affine,
+                &blocks,
+                iter,
+                &analysis::ParamAliasFacts::default(),
+            );
             instances.push(IdiomInstance {
                 kind,
                 function: f.name.clone(),

@@ -117,7 +117,7 @@ proptest! {
         let insts = idiomatch::idioms::detect(module.function("s").unwrap());
         let red = insts.iter().find(|i| i.kind == idiomatch::idioms::IdiomKind::Reduction).unwrap();
         let mut transformed = module.clone();
-        idiomatch::xform::apply_replacement(&mut transformed, red, 0).unwrap();
+        idiomatch::xform::apply_replacement(&mut transformed, red, 0, &idiomatch::analysis::ParamAliasFacts::default()).unwrap();
         use idiomatch::interp::{Machine, Value};
         let run = |m: &idiomatch::ssair::Module| {
             let mut vm = Machine::new(m);

@@ -18,9 +18,8 @@ fn every_benchmark_transforms_fully_and_validates() {
     let mut replaced = 0usize;
     for b in benchsuite::all() {
         let module = idiomatch::minicc::compile(b.source, b.name).unwrap();
-        let report = pipeline::transform_and_validate_module(&module, b.entry, b.setup, seeds);
-        let summary = report
-            .validation
+        let xf = idiomatch::xform::transform_module(&module);
+        let summary = pipeline::validate_transform(&module, &xf.module, b.entry, b.setup, seeds)
             .unwrap_or_else(|e| panic!("{}: validation failed: {e}", b.name));
         assert_eq!(summary.seeds, seeds.len(), "{}", b.name);
         assert!(
@@ -28,7 +27,7 @@ fn every_benchmark_transforms_fully_and_validates() {
             "{}: validation must compare real arrays",
             b.name
         );
-        for o in &report.xform.outcomes {
+        for o in &xf.outcomes {
             detected += 1;
             match &o.outcome {
                 Outcome::Replaced(rep) => {
@@ -36,7 +35,7 @@ fn every_benchmark_transforms_fully_and_validates() {
                     // Generated device code is really linked in.
                     for g in &rep.generated {
                         assert!(
-                            report.xform.module.function(g).is_some(),
+                            xf.module.function(g).is_some(),
                             "{}: generated function {g} missing",
                             b.name
                         );
